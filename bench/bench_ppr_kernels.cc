@@ -1,48 +1,41 @@
-// CSR push kernels vs legacy dense-reset engines: the perf claim behind the
-// workspace layer (docs/performance.md), measured and ASSERTED.
+// Push schedules measured and ASSERTED: the dense FIFO loops, the sparse
+// FIFO repair of DynamicForwardPush, and the kFast engine
+// (PushEngine::kFast) — the perf contract of docs/performance.md.
 //
 // Two workloads on a medium synthetic Amazon graph:
 //   static  — full pushes (forward from users, reverse toward items) at a
-//             sweep of epsilons; the kernel replays the legacy schedule on
-//             epoch-stamped sparse state instead of freshly zeroed arrays.
-//             Informational: these pushes saturate the graph (touched ≈ n),
-//             where both engines do the same O(n+work) and land at parity.
-//   repair  — the candidate-TEST cycle the explain pipeline actually runs:
-//             remove / re-add a user edge and repair the dynamic push state,
-//             swept over epsilons. Legacy refine pays an O(n) seed scan plus
-//             a dense queued array PER CANDIDATE; the sparse refine seeds
-//             from the repaired row only, so where repairs are local it must
-//             win outright.
-//
-// Both workloads also race the kFast engine (PushEngine::kFast): residual-
-// priority forward scheduling and, on the reverse rows, ONE batched
-// multi-target push producing all target columns in a shared traversal.
-// kFast gives up bitwise identity, so its correctness oracle is the
-// schedule-independent Eq. 3/4 validators plus run-to-run determinism.
+//             sweep of epsilons. The dense `ForwardPush`/`ReversePush` are
+//             the default engine's static pushes; kFast races them with
+//             residual-priority forward scheduling and, on the reverse
+//             rows, ONE batched multi-target push producing all target
+//             columns in a shared traversal.
+//   repair  — the candidate-TEST cycle the dynamic-push tester runs:
+//             remove / re-add a user edge and repair the push state, swept
+//             over epsilons. The dense reference refine pays an O(n) seed
+//             scan plus a dense queued array PER CANDIDATE; the sparse
+//             refine (the default engine) seeds from the repaired row only,
+//             so where repairs are local it must win outright.
 //
 // The guarantees are checked, not just reported — any violation exits 1:
-//   1. Bitwise equality: kernel estimates equal the legacy engine's bit for
-//      bit on every workload (same schedule, same float-op order). kFast
-//      states instead pass the Eq. 3/4 invariant validators and are
-//      deterministic across repeated runs.
+//   1. Correctness: sparse repair states equal the dense refine's bit for
+//      bit (same schedule, same float-op order). kFast states pass the
+//      Eq. 3/4 invariant validators and are deterministic across repeated
+//      runs.
 //   2. Zero O(n) work after warm-up: no dense reset once the workspace
 //      reached graph size, and the touched-node counter stays far below
 //      begins * n.
-//   3. The kernel path is strictly faster on the local-repair rows and their
-//      aggregate (the per-candidate O(n) this layer deletes), never beyond
-//      noise of legacy on push-bound rows, and swapping engines changes no
-//      explanation output. The kFast path is strictly faster than legacy
-//      where its schedule freedom actually pays on graphs this size: the
-//      batched reverse row at the tightest epsilon (one shared traversal
-//      for all target columns — the TEST loop's workload) and the
-//      local-repair rows. On the remaining static rows kFast does 10-16%
-//      fewer pushes (asserted below) but the rows are memory-bound: the
-//      legacy dense engine is cache-resident at this graph size and the
-//      priority frontier's constant factors exceed the work saved, so those
-//      rows carry a bounded-overhead guard instead of a win claim (see
-//      docs/performance.md for the full contract).
+//   3. The sparse repair is strictly faster than the dense refine on the
+//      local-repair rows and their aggregate, and never beyond noise of it
+//      on push-bound rows. kFast is strictly faster than the dense loops
+//      where its schedule freedom pays on graphs this size: the batched
+//      reverse row at the tightest epsilon and the local-repair rows. On
+//      the remaining static rows kFast does fewer pushes (asserted below)
+//      but the rows are memory-bound, so they carry a bounded-overhead
+//      guard instead of a win claim. Swapping kKernel for kFast changes no
+//      explanation output.
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -68,19 +61,24 @@ using namespace emigre;
 
 struct SweepRow {
   std::string label;
-  double legacy_seconds = 0.0;
+  bool has_kernel = false;  ///< repair rows: the sparse FIFO refine
+  double dense_seconds = 0.0;
   double kernel_seconds = 0.0;
   double fast_seconds = 0.0;
-  size_t work = 0;       ///< pushes (static rows) or repairs (repair row)
+  size_t work = 0;       ///< FIFO pushes (static rows) or repairs
   size_t fast_work = 0;  ///< kFast pushes (column pushes on reverse rows)
 
   double Speedup() const {
-    return kernel_seconds > 0.0 ? legacy_seconds / kernel_seconds : 1.0;
+    return kernel_seconds > 0.0 ? dense_seconds / kernel_seconds : 1.0;
   }
   double FastSpeedup() const {
-    return fast_seconds > 0.0 ? legacy_seconds / fast_seconds : 1.0;
+    return fast_seconds > 0.0 ? dense_seconds / fast_seconds : 1.0;
   }
 };
+
+uint64_t CounterValue(const char* name) {
+  return obs::Registry::Global().GetCounter(name).Value();
+}
 
 bool BitwiseEqual(const ppr::PushResult& a, const ppr::PushResult& b) {
   return a.estimate == b.estimate && a.residual == b.residual;
@@ -90,10 +88,10 @@ bool BitwiseEqual(const ppr::PushResult& a, const ppr::PushResult& b) {
 
 int main() {
   bench::BenchConfig config = bench::MakeBenchConfig();
-  // A medium graph regardless of scale: the kernels' O(k)-vs-O(n) claim is
-  // about per-push locality (touched nodes k well below |V|), which a
-  // few-hundred-node smoke graph cannot exhibit. Generation stays fast;
-  // only rep counts scale.
+  // A medium graph regardless of scale: the repair claim is about per-push
+  // locality (touched nodes k well below |V|), which a few-hundred-node
+  // smoke graph cannot exhibit. Generation stays fast; only rep counts
+  // scale.
   if (config.scale == 0) {
     config.gen.num_users = 250;
     config.gen.num_items = 12000;
@@ -103,7 +101,8 @@ int main() {
     config.gen.num_items = 24000;
     config.gen.num_categories = 96;
   }
-  bench::PrintBenchHeader("CSR push kernels vs legacy dense engines", config);
+  bench::PrintBenchHeader("Push schedules: dense, sparse repair, kFast",
+                          config);
 
   auto lite = bench::BuildBenchGraph(config);
   lite.status().CheckOK();
@@ -132,36 +131,10 @@ int main() {
   ppr::PushWorkspace ws;
   ppr::PprOptions base_ppr;
 
-  // Correctness pass (also warms the workspace up to graph size): every
-  // swept (epsilon, endpoint) must match the legacy engine bit for bit.
-  for (double eps : epsilons) {
-    ppr::PprOptions opts = base_ppr;
-    opts.epsilon = eps;
-    for (graph::NodeId s : sources) {
-      ppr::KernelResult kr = ppr::ForwardPushKernel(g, s, opts, ws);
-      if (!BitwiseEqual(ppr::ExportDensePush(ws, n, kr.residual_mass),
-                        ppr::ForwardPush(g, s, opts))) {
-        std::fprintf(stderr,
-                     "EQUIVALENCE VIOLATION: forward kernel != legacy "
-                     "(source %u, eps %g)\n", s, eps);
-        ok = false;
-      }
-    }
-    for (graph::NodeId t : targets) {
-      ppr::KernelResult kr = ppr::ReversePushKernel(g, t, opts, ws);
-      if (!BitwiseEqual(ppr::ExportDensePush(ws, n, kr.residual_mass),
-                        ppr::ReversePush(g, t, opts))) {
-        std::fprintf(stderr,
-                     "EQUIVALENCE VIOLATION: reverse kernel != legacy "
-                     "(target %u, eps %g)\n", t, eps);
-        ok = false;
-      }
-    }
-  }
-
-  // kFast correctness: no bitwise claim against the other engines — the
-  // schedule-independent Eq. 3/4 validators are the oracle — plus
-  // determinism (two runs of the same push export identical states).
+  // kFast correctness (also warms the workspace up to graph size): no
+  // bitwise claim against the FIFO schedule — the schedule-independent
+  // Eq. 3/4 validators are the oracle — plus determinism (two runs of the
+  // same push export identical states).
   for (double eps : epsilons) {
     ppr::PprOptions opts = base_ppr;
     opts.epsilon = eps;
@@ -226,7 +199,7 @@ int main() {
   const size_t touched_before = ws.stats().touched_total;
 
   std::vector<SweepRow> rows;
-  double legacy_total = 0.0, kernel_total = 0.0, fast_total = 0.0;
+  double dense_total = 0.0, fast_total = 0.0;
   for (double eps : epsilons) {
     ppr::PprOptions opts = base_ppr;
     opts.epsilon = eps;
@@ -235,25 +208,16 @@ int main() {
     SweepRow rev{StrFormat("reverse eps=%g", eps)};
     WallTimer timer;
     for (size_t round = 0; round < rounds; ++round) {
+      const uint64_t flp_before = CounterValue("ppr.flp.pushes");
       timer.Reset();
       for (size_t r = 0; r < reps; ++r) {
         for (graph::NodeId s : sources) ppr::ForwardPush(g, s, opts);
       }
-      fwd.legacy_seconds = round == 0
-                               ? timer.ElapsedSeconds()
-                               : std::min(fwd.legacy_seconds,
-                                          timer.ElapsedSeconds());
-      timer.Reset();
-      for (size_t r = 0; r < reps; ++r) {
-        for (graph::NodeId s : sources) {
-          size_t pushes = ppr::ForwardPushKernel(g, s, opts, ws).pushes;
-          if (round == 0) fwd.work += pushes;
-        }
-      }
-      fwd.kernel_seconds = round == 0
-                               ? timer.ElapsedSeconds()
-                               : std::min(fwd.kernel_seconds,
-                                          timer.ElapsedSeconds());
+      fwd.dense_seconds = round == 0
+                              ? timer.ElapsedSeconds()
+                              : std::min(fwd.dense_seconds,
+                                         timer.ElapsedSeconds());
+      if (round == 0) fwd.work = CounterValue("ppr.flp.pushes") - flp_before;
       timer.Reset();
       for (size_t r = 0; r < reps; ++r) {
         for (graph::NodeId s : sources) {
@@ -266,25 +230,16 @@ int main() {
                              : std::min(fwd.fast_seconds,
                                         timer.ElapsedSeconds());
 
+      const uint64_t rlp_before = CounterValue("ppr.rlp.pushes");
       timer.Reset();
       for (size_t r = 0; r < reps; ++r) {
         for (graph::NodeId t : targets) ppr::ReversePush(g, t, opts);
       }
-      rev.legacy_seconds = round == 0
-                               ? timer.ElapsedSeconds()
-                               : std::min(rev.legacy_seconds,
-                                          timer.ElapsedSeconds());
-      timer.Reset();
-      for (size_t r = 0; r < reps; ++r) {
-        for (graph::NodeId t : targets) {
-          size_t pushes = ppr::ReversePushKernel(g, t, opts, ws).pushes;
-          if (round == 0) rev.work += pushes;
-        }
-      }
-      rev.kernel_seconds = round == 0
-                               ? timer.ElapsedSeconds()
-                               : std::min(rev.kernel_seconds,
-                                          timer.ElapsedSeconds());
+      rev.dense_seconds = round == 0
+                              ? timer.ElapsedSeconds()
+                              : std::min(rev.dense_seconds,
+                                         timer.ElapsedSeconds());
+      if (round == 0) rev.work = CounterValue("ppr.rlp.pushes") - rlp_before;
       // The kFast reverse leg produces the same per-target columns as the
       // 8 independent pushes above, but through one batched traversal —
       // the amortization the TEST pipeline's repeated PPR(·, t) fetches
@@ -305,70 +260,70 @@ int main() {
     // the schedule freedom pays at this graph size: the batched reverse
     // row at the tightest swept epsilon, where ONE shared traversal
     // produces every target column and the push volume dwarfs the
-    // per-batch setup — strictly faster than the 8 legacy pushes it
-    // replaces. The other static rows are memory-bound (the legacy dense
-    // engine is cache-resident here), so they carry a bounded-overhead
-    // guard plus a work assertion: the priority schedule must still do
-    // strictly fewer pushes than FIFO wherever the row is push-heavy
-    // enough for the order to matter (the scheduling claim, independent
-    // of constant factors).
+    // per-batch setup — strictly faster than the 8 dense pushes it
+    // replaces. The other static rows are memory-bound (the dense loops
+    // are cache-resident here), so they carry a bounded-overhead guard
+    // plus a work assertion: the priority schedule must still do strictly
+    // fewer pushes than FIFO wherever the row is push-heavy enough for the
+    // order to matter (the scheduling claim, independent of constant
+    // factors).
     const bool tightest = eps == epsilons.back();
-    if (tightest && rev.fast_seconds >= rev.legacy_seconds) {
+    if (tightest && rev.fast_seconds >= rev.dense_seconds) {
       std::fprintf(stderr,
                    "PERF VIOLATION: kFast batched reverse (%.4fs) not "
-                   "faster than legacy (%.4fs) at eps %g\n",
-                   rev.fast_seconds, rev.legacy_seconds, eps);
+                   "faster than dense (%.4fs) at eps %g\n",
+                   rev.fast_seconds, rev.dense_seconds, eps);
       ok = false;
     }
-    if (fwd.fast_seconds > fwd.legacy_seconds * 2.0) {
+    if (fwd.fast_seconds > fwd.dense_seconds * 2.0) {
       std::fprintf(stderr,
                    "PERF VIOLATION: kFast forward overhead beyond bound "
-                   "(%.4fs vs legacy %.4fs at eps %g)\n",
-                   fwd.fast_seconds, fwd.legacy_seconds, eps);
+                   "(%.4fs vs dense %.4fs at eps %g)\n",
+                   fwd.fast_seconds, fwd.dense_seconds, eps);
       ok = false;
     }
-    if (rev.fast_seconds > rev.legacy_seconds * 2.0) {
+    if (rev.fast_seconds > rev.dense_seconds * 2.0) {
       std::fprintf(stderr,
                    "PERF VIOLATION: kFast batched reverse overhead beyond "
-                   "bound (%.4fs vs legacy %.4fs at eps %g)\n",
-                   rev.fast_seconds, rev.legacy_seconds, eps);
+                   "bound (%.4fs vs dense %.4fs at eps %g)\n",
+                   rev.fast_seconds, rev.dense_seconds, eps);
       ok = false;
     }
     if (eps <= 1e-5 && fwd.fast_work >= fwd.work) {
       std::fprintf(stderr,
                    "WORK VIOLATION: kFast forward pushes (%zu) not below "
-                   "FIFO kernel pushes (%zu) at eps %g\n",
+                   "FIFO pushes (%zu) at eps %g\n",
                    fwd.fast_work, fwd.work, eps);
       ok = false;
     }
     if (eps <= 1e-5 && rev.fast_work >= rev.work) {
       std::fprintf(stderr,
                    "WORK VIOLATION: kFast batched column pushes (%zu) not "
-                   "below per-target kernel pushes (%zu) at eps %g\n",
+                   "below per-target FIFO pushes (%zu) at eps %g\n",
                    rev.fast_work, rev.work, eps);
       ok = false;
     }
 
-    legacy_total += fwd.legacy_seconds + rev.legacy_seconds;
-    kernel_total += fwd.kernel_seconds + rev.kernel_seconds;
+    dense_total += fwd.dense_seconds + rev.dense_seconds;
     fast_total += fwd.fast_seconds + rev.fast_seconds;
     rows.push_back(fwd);
     rows.push_back(rev);
   }
 
-  // The candidate-TEST repair cycle, on separate mutable copies so both
-  // engines see identical adjacency orders (HinGraph re-adds append).
+  // The candidate-TEST repair cycle, on separate mutable copies so every
+  // engine sees identical adjacency orders (HinGraph re-adds append).
   //
-  // Swept over epsilons because the engines differ in the O(n) part, not
+  // Swept over epsilons because the refines differ in the O(n) part, not
   // the push part. At moderate epsilon a repair is LOCAL — a handful of
-  // pushes — so legacy refine's O(n) seed scan and per-repair dense
+  // pushes — so the dense refine's O(n) seed scan and per-repair dense
   // `queued` allocation dominate its cost, and the sparse refine (seeded
   // from the repaired row on the reusable ring) must win outright. Those
-  // rows carry the strict perf assertion; this is exactly the per-candidate
-  // O(n) the kernel layer deletes. At the tight eval epsilon the repair is
-  // re-push-bound (both engines execute the bitwise-identical schedule), so
-  // that row is context only, guarded against gross regression.
-  double repair_legacy_asserted = 0.0, repair_kernel_asserted = 0.0;
+  // rows carry the strict perf assertion; this is exactly the
+  // per-candidate O(n) the workspace deletes. At the tight eval epsilon
+  // the repair is re-push-bound (both refines execute the bitwise-identical
+  // schedule), so that row is context only, guarded against gross
+  // regression.
+  double repair_dense_asserted = 0.0, repair_kernel_asserted = 0.0;
   {
     // Rows 1e-4/1e-5 are the local-repair regime (strict assertion); tighter
     // rows are push-bound on graphs this size and only noise-guarded.
@@ -385,8 +340,8 @@ int main() {
       ppr::PprOptions opts = base_ppr;
       opts.epsilon = eps;
 
-      SweepRow rep{StrFormat("repair eps=%g", eps)};
-      std::vector<std::vector<double>> final_legacy, final_kernel;
+      SweepRow rep{StrFormat("repair eps=%g", eps), /*has_kernel=*/true};
+      std::vector<std::vector<double>> final_dense, final_kernel;
       for (size_t round = 0; round < rounds; ++round) {
         for (int engine = 0; engine < 3; ++engine) {
           bool kernel = engine == 1;
@@ -434,65 +389,65 @@ int main() {
                   ok = false;
                 }
               } else {
-                (kernel ? final_kernel : final_legacy)
+                (kernel ? final_kernel : final_dense)
                     .push_back(dyn.Estimates());
               }
             }
           }
           double& best = fast ? rep.fast_seconds
                               : kernel ? rep.kernel_seconds
-                                       : rep.legacy_seconds;
+                                       : rep.dense_seconds;
           best = round == 0 ? seconds : std::min(best, seconds);
         }
       }
-      if (final_legacy != final_kernel) {
+      if (final_dense != final_kernel) {
         std::fprintf(stderr,
-                     "EQUIVALENCE VIOLATION: dynamic repair states diverged "
-                     "between engines (eps %g)\n", eps);
+                     "EQUIVALENCE VIOLATION: sparse repair states diverged "
+                     "from the dense refine (eps %g)\n", eps);
         ok = false;
       }
       if (asserted) {
-        repair_legacy_asserted += rep.legacy_seconds;
+        repair_dense_asserted += rep.dense_seconds;
         repair_kernel_asserted += rep.kernel_seconds;
-        if (rep.kernel_seconds >= rep.legacy_seconds) {
+        if (rep.kernel_seconds >= rep.dense_seconds) {
           std::fprintf(stderr,
                        "PERF VIOLATION: sparse repair (%.4fs) not faster "
-                       "than legacy O(n) refine (%.4fs) at eps %g\n",
-                       rep.kernel_seconds, rep.legacy_seconds, eps);
+                       "than the dense O(n) refine (%.4fs) at eps %g\n",
+                       rep.kernel_seconds, rep.dense_seconds, eps);
           ok = false;
         }
-        if (rep.fast_seconds >= rep.legacy_seconds) {
-          // Same O(row + pushes)-vs-O(n) claim as the kernel engine: the
+        if (rep.fast_seconds >= rep.dense_seconds) {
+          // Same O(row + pushes)-vs-O(n) claim as the sparse refine: the
           // priority frontier must not give the per-candidate win back.
           std::fprintf(stderr,
                        "PERF VIOLATION: kFast repair (%.4fs) not faster "
-                       "than legacy O(n) refine (%.4fs) at eps %g\n",
-                       rep.fast_seconds, rep.legacy_seconds, eps);
+                       "than the dense O(n) refine (%.4fs) at eps %g\n",
+                       rep.fast_seconds, rep.dense_seconds, eps);
           ok = false;
         }
       } else {
-        if (rep.kernel_seconds > rep.legacy_seconds * 1.25) {
+        if (rep.kernel_seconds > rep.dense_seconds * 1.25) {
           // Push-bound row: identical schedules, so anything beyond noise
-          // is kernel bookkeeping overhead creeping into the per-edge path.
+          // is workspace bookkeeping overhead creeping into the per-edge
+          // path.
           std::fprintf(stderr,
                        "PERF VIOLATION: push-bound repair regressed beyond "
-                       "noise (kernel %.4fs vs legacy %.4fs at eps %g)\n",
-                       rep.kernel_seconds, rep.legacy_seconds, eps);
+                       "noise (sparse %.4fs vs dense %.4fs at eps %g)\n",
+                       rep.kernel_seconds, rep.dense_seconds, eps);
           ok = false;
         }
-        if (rep.fast_seconds > rep.legacy_seconds * 1.5) {
+        if (rep.fast_seconds > rep.dense_seconds * 1.5) {
           // kFast re-push cascades pay the priority frontier's per-edge
           // constants where repairs are re-push-bound; bounded, slightly
-          // wider than the kernel's noise guard.
+          // wider than the sparse refine's noise guard.
           std::fprintf(stderr,
                        "PERF VIOLATION: push-bound repair regressed beyond "
-                       "bound (kFast %.4fs vs legacy %.4fs at eps %g)\n",
-                       rep.fast_seconds, rep.legacy_seconds, eps);
+                       "bound (kFast %.4fs vs dense %.4fs at eps %g)\n",
+                       rep.fast_seconds, rep.dense_seconds, eps);
           ok = false;
         }
       }
-      legacy_total += rep.legacy_seconds;
-      kernel_total += rep.kernel_seconds;
+      dense_total += rep.dense_seconds;
       fast_total += rep.fast_seconds;
       rows.push_back(rep);
     }
@@ -517,66 +472,53 @@ int main() {
   }
 
   TextTable table(
-      {"workload", "legacy", "kernel", "fast", "speedup", "fast-spd", "work",
+      {"workload", "dense", "sparse", "fast", "speedup", "fast-spd", "work",
        "fast-work"});
   for (size_t c = 1; c < 8; ++c) table.SetAlign(c, Align::kRight);
   for (const SweepRow& row : rows) {
     std::string tag = row.label;
     std::replace(tag.begin(), tag.end(), ' ', '.');
-    obs::Registry::Global()
-        .GetGauge("bench.ppr_kernels." + tag + ".legacy_seconds")
-        .Set(row.legacy_seconds);
-    obs::Registry::Global()
-        .GetGauge("bench.ppr_kernels." + tag + ".kernel_seconds")
-        .Set(row.kernel_seconds);
-    obs::Registry::Global()
-        .GetGauge("bench.ppr_kernels." + tag + ".speedup")
-        .Set(row.Speedup());
-    obs::Registry::Global()
-        .GetGauge("bench.ppr_kernels." + tag + ".fast_seconds")
-        .Set(row.fast_seconds);
-    obs::Registry::Global()
-        .GetGauge("bench.ppr_kernels." + tag + ".fast_speedup")
-        .Set(row.FastSpeedup());
-    table.AddRow({row.label, FormatDuration(row.legacy_seconds),
-                  FormatDuration(row.kernel_seconds),
+    obs::Registry& reg = obs::Registry::Global();
+    const std::string prefix = "bench.ppr_kernels." + tag;
+    reg.GetGauge(prefix + ".dense_seconds").Set(row.dense_seconds);
+    reg.GetGauge(prefix + ".fast_seconds").Set(row.fast_seconds);
+    reg.GetGauge(prefix + ".fast_speedup").Set(row.FastSpeedup());
+    if (row.has_kernel) {
+      reg.GetGauge(prefix + ".kernel_seconds").Set(row.kernel_seconds);
+      reg.GetGauge(prefix + ".speedup").Set(row.Speedup());
+    }
+    table.AddRow({row.label, FormatDuration(row.dense_seconds),
+                  row.has_kernel ? FormatDuration(row.kernel_seconds) : "-",
                   FormatDuration(row.fast_seconds),
-                  FormatDouble(row.Speedup(), 2) + "x",
+                  row.has_kernel ? FormatDouble(row.Speedup(), 2) + "x" : "-",
                   FormatDouble(row.FastSpeedup(), 2) + "x",
                   std::to_string(row.work), std::to_string(row.fast_work)});
   }
   std::printf("%s\n", table.ToString().c_str());
 
-  double overall = kernel_total > 0.0 ? legacy_total / kernel_total : 1.0;
-  double fast_overall = fast_total > 0.0 ? legacy_total / fast_total : 1.0;
+  double fast_overall = fast_total > 0.0 ? dense_total / fast_total : 1.0;
   double repair_speedup = repair_kernel_asserted > 0.0
-                              ? repair_legacy_asserted / repair_kernel_asserted
+                              ? repair_dense_asserted / repair_kernel_asserted
                               : 1.0;
-  obs::Registry::Global()
-      .GetGauge("bench.ppr_kernels.overall_speedup")
-      .Set(overall);
   obs::Registry::Global()
       .GetGauge("bench.ppr_kernels.fast_overall_speedup")
       .Set(fast_overall);
   obs::Registry::Global()
       .GetGauge("bench.ppr_kernels.repair_speedup")
       .Set(repair_speedup);
-  std::printf("overall: legacy %s, kernel %s (%.2fx), fast %s (%.2fx); "
-              "candidate-TEST repair %.2fx; %zu nodes touched across %zu "
-              "workspace pushes on a %zu-node graph\n",
-              FormatDuration(legacy_total).c_str(),
-              FormatDuration(kernel_total).c_str(), overall,
+  std::printf("overall: dense %s, fast %s (%.2fx); candidate-TEST repair "
+              "%.2fx; %zu nodes touched across %zu workspace pushes on a "
+              "%zu-node graph\n",
+              FormatDuration(dense_total).c_str(),
               FormatDuration(fast_total).c_str(), fast_overall,
               repair_speedup, touched, begins, n);
   // The asserted aggregate is the candidate-TEST repair workload (the rows
-  // where the engines differ by an O(n) term); the all-workload total above
-  // is informational — the push-saturated static rows are schedule-identical
-  // by construction and land at parity.
-  if (repair_kernel_asserted >= repair_legacy_asserted) {
+  // where the refines differ by an O(n) term).
+  if (repair_kernel_asserted >= repair_dense_asserted) {
     std::fprintf(stderr,
-                 "PERF VIOLATION: kernel repair aggregate (%.4fs) not faster "
-                 "than legacy (%.4fs)\n",
-                 repair_kernel_asserted, repair_legacy_asserted);
+                 "PERF VIOLATION: sparse repair aggregate (%.4fs) not "
+                 "faster than dense (%.4fs)\n",
+                 repair_kernel_asserted, repair_dense_asserted);
     ok = false;
   }
 
@@ -586,29 +528,22 @@ int main() {
       g, lite->eval_users, bench::MakeEmigreOptions(config, *lite),
       config.top_k, config.max_per_user);
   scenarios.status().CheckOK();
-  explain::EmigreOptions legacy_opts = bench::MakeEmigreOptions(config, *lite);
-  legacy_opts.rec.ppr.engine = ppr::PushEngine::kLegacy;
-  legacy_opts.deadline_seconds = 0.0;  // deterministic: no wall-clock cutoffs
+  explain::EmigreOptions kernel_opts = bench::MakeEmigreOptions(config, *lite);
+  kernel_opts.rec.ppr.engine = ppr::PushEngine::kKernel;
+  kernel_opts.deadline_seconds = 0.0;  // deterministic: no wall-clock cutoffs
   // With the deadline off the search needs a deterministic bound instead —
   // identical for both engines, so a capped attempt fails identically too.
-  // The exact tester keeps the comparison bitwise: every TEST re-runs the
-  // recommender on the same pristine-ordered graph state under either
-  // engine. (The dynamic tester is ε-accurate, not bitwise, across engines:
-  // its legacy scratch graph re-appends reverted edges, permuting adjacency
-  // — and thus float summation — order, while the overlay restores base
-  // order exactly, so near-ties may resolve differently.)
-  legacy_opts.max_tests = 60;
-  legacy_opts.max_add_candidates = 32;
-  legacy_opts.tester = explain::TesterKind::kExact;
-  explain::EmigreOptions kernel_opts = legacy_opts;
-  kernel_opts.rec.ppr.engine = ppr::PushEngine::kKernel;
+  // The exact tester keeps the comparison exact: every TEST re-runs the
+  // recommender on the same pristine-ordered overlay under either engine.
+  kernel_opts.max_tests = 60;
+  kernel_opts.max_add_candidates = 32;
+  kernel_opts.tester = explain::TesterKind::kExact;
   // kFast reorders float ops inside the ε-approximate candidate derivation,
   // but the exact tester's verdicts (power iteration on the same graph
   // state) and the deterministic candidate ordering keep the explanation
-  // outputs engine-invariant; asserted here across all three engines.
-  explain::EmigreOptions fast_opts = legacy_opts;
+  // outputs engine-invariant.
+  explain::EmigreOptions fast_opts = kernel_opts;
   fast_opts.rec.ppr.engine = ppr::PushEngine::kFast;
-  explain::Emigre legacy_engine(g, legacy_opts);
   explain::Emigre kernel_engine(g, kernel_opts);
   explain::Emigre fast_engine(g, fast_opts);
   size_t compared = 0;
@@ -617,16 +552,13 @@ int main() {
     ++compared;
     explain::WhyNotQuestion q{sc.user, sc.wni};
     for (explain::Mode mode : {explain::Mode::kRemove, explain::Mode::kAdd}) {
-      auto a = legacy_engine.Explain(q, mode, explain::Heuristic::kExhaustive);
-      auto b = kernel_engine.Explain(q, mode, explain::Heuristic::kExhaustive);
-      auto c = fast_engine.Explain(q, mode, explain::Heuristic::kExhaustive);
-      auto differs = [&](const Result<explain::Explanation>& x) {
-        return a.ok() != x.ok() ||
-               (a.ok() && (a->found != x->found || a->edges != x->edges ||
-                           a->new_rec != x->new_rec ||
-                           a->failure != x->failure));
-      };
-      if (differs(b) || differs(c)) {
+      auto a = kernel_engine.Explain(q, mode, explain::Heuristic::kExhaustive);
+      auto b = fast_engine.Explain(q, mode, explain::Heuristic::kExhaustive);
+      bool differs = a.ok() != b.ok() ||
+                     (a.ok() && (a->found != b->found || a->edges != b->edges ||
+                                 a->new_rec != b->new_rec ||
+                                 a->failure != b->failure));
+      if (differs) {
         std::fprintf(stderr,
                      "EXPLANATION VIOLATION: engines disagree (user %u, "
                      "wni %u, mode %d)\n", sc.user, sc.wni,
@@ -635,14 +567,14 @@ int main() {
       }
     }
   }
-  std::printf("explanation equality: legacy == kernel == fast on %zu "
-              "scenarios x 2 modes\n", compared);
+  std::printf("explanation equality: kernel == fast on %zu scenarios x 2 "
+              "modes\n", compared);
   obs::Registry::Global()
       .GetGauge("bench.ppr_kernels.scenarios_compared")
       .Set(static_cast<double>(compared));
 
   bench::WriteBenchMetrics("ppr_kernels");
   if (!ok) return 1;
-  std::printf("all kernel invariants held\n");
+  std::printf("all push-schedule invariants held\n");
   return 0;
 }

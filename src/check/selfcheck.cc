@@ -11,7 +11,6 @@
 #include "obs/trace.h"
 #include "ppr/dynamic.h"
 #include "ppr/forward_push.h"
-#include "ppr/kernels.h"
 #include "ppr/reverse_push.h"
 #include "ppr/workspace.h"
 #include "util/rng.h"
@@ -87,42 +86,16 @@ void RunPprSuites(const graph::HinGraph& g,
            ValidateReversePushInvariant(g, t, state, ppr_opts));
   }
 
-  // Kernel engines on ONE workspace reused across every sample: the Eq. 3/4
-  // identities must hold on epoch-stamped workspace state exactly as on the
-  // freshly-allocated dense reference, and the estimates must agree bitwise
-  // (same push schedule, same float-op order).
-  ppr::PushWorkspace ws;
-  for (graph::NodeId s : SampleNodes(g, rng, sc.num_samples, user_type)) {
-    ppr::KernelResult kr = ppr::ForwardPushKernel(g, s, ppr_opts, ws);
-    ppr::PushResult state =
-        ppr::ExportDensePush(ws, g.NumNodes(), kr.residual_mass);
-    Status st = ValidateForwardPushInvariant(g, s, state, ppr_opts);
-    if (st.ok() && state.estimate != ppr::ForwardPush(g, s, ppr_opts).estimate) {
-      st = Status::Internal("kernel estimates differ from legacy ForwardPush");
-    }
-    Record(report, "flp-kernel(source " + std::to_string(s) + ")", st);
-  }
-  for (graph::NodeId t :
-       SampleNodes(g, rng, sc.num_samples, opts.rec.item_type)) {
-    ppr::KernelResult kr = ppr::ReversePushKernel(g, t, ppr_opts, ws);
-    ppr::PushResult state =
-        ppr::ExportDensePush(ws, g.NumNodes(), kr.residual_mass);
-    Status st = ValidateReversePushInvariant(g, t, state, ppr_opts);
-    if (st.ok() && state.estimate != ppr::ReversePush(g, t, ppr_opts).estimate) {
-      st = Status::Internal("kernel estimates differ from legacy ReversePush");
-    }
-    Record(report, "rlp-kernel(target " + std::to_string(t) + ")", st);
-  }
-
   // FLP identity under dynamic edge updates ([38]): remove then re-add a
   // random out-edge on a mutable copy, repairing the push state in place,
   // and re-verify Eq. 3 after every repair.
   graph::HinGraph mutable_g = g;
   graph::NodeId source = PickActiveNode(mutable_g, rng, user_type);
   if (source != graph::kInvalidNode) {
-    // Legacy dense refine and workspace-backed sparse refine run the same
-    // edit sequence side by side; Eq. 3 must hold for both after every
+    // Dense reference refine and workspace-backed sparse refine run the
+    // same edit sequence side by side; Eq. 3 must hold for both after every
     // repair, and their states must stay bitwise identical.
+    ppr::PushWorkspace ws;
     ppr::DynamicForwardPush<graph::HinGraph> dyn(mutable_g, source, ppr_opts);
     ppr::DynamicForwardPush<graph::HinGraph> dyn_ws(mutable_g, source,
                                                     ppr_opts, &ws);
@@ -137,7 +110,7 @@ void RunPprSuites(const graph::HinGraph& g,
         if (st.ok() && (ws_state.estimate != state.estimate ||
                         ws_state.residual != state.residual)) {
           st = Status::Internal(
-              "workspace-refined state differs from legacy refine");
+              "workspace-refined state differs from dense refine");
         }
       }
       Record(report, suite, st);

@@ -116,8 +116,8 @@ class EmigreT {
   const G* g_;
   EmigreOptions opts_;
   // CSR snapshot of *g_, built (or aliased) once per engine: the PPR cache
-  // pushes over it and every kernel-engine tester lays its CsrOverlay on
-  // it, so no Explain call pays the O(V+E) snapshot cost.
+  // pushes over it and every tester lays its overlay on it, so no Explain
+  // call pays the O(V+E) snapshot cost.
   graph::CsrGraph csr_;
   // Reverse-push vectors are pure functions of (graph, target); shared
   // across questions and across the per-question phases. The cache is

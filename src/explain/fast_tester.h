@@ -6,9 +6,8 @@
 
 #include "explain/tester.h"
 #include "graph/csr.h"
-#include "graph/csr_overlay.h"
 #include "graph/hin_graph.h"
-#include "graph/materialize.h"
+#include "graph/overlay.h"
 #include "ppr/dynamic.h"
 #include "ppr/workspace.h"
 
@@ -26,9 +25,9 @@ namespace detail {
 ///
 /// The `item < best` comparison is the enforced index-ascending tie-break
 /// of the class contract: on exactly equal scores the lowest item id wins
-/// no matter what order `items` arrives in or which push engine produced
-/// the scores, so kLegacy/kKernel/kFast agree on exact ties by
-/// construction rather than by touch order.
+/// no matter what order `items` arrives in or which push schedule produced
+/// the scores, so kKernel and kFast agree on exact ties by construction
+/// rather than by touch order.
 template <typename Eligible, typename Score>
 graph::NodeId BestItem(const std::vector<graph::NodeId>& items,
                        graph::NodeId user, double floor, Eligible&& eligible,
@@ -64,21 +63,14 @@ graph::NodeId BestItem(const std::vector<graph::NodeId>& items,
 /// candidate's edits are rooted at the user, so each TEST costs two
 /// single-row repairs instead of a full recomputation.
 ///
-/// Engine selection (`PprOptions::engine`):
-///  - `kKernel` (default): the graph view is a `CsrOverlay` over a CSR
-///    snapshot (shared from the facade or built once here), the dynamic
-///    push repairs through a reusable `PushWorkspace` (O(row + pushes) per
-///    TEST), and the eligible-item filter uses the workspace's epoch marks.
-///    `Clear()`-based reverts keep the adjacency iteration order fixed
-///    across candidates.
-///  - `kFast`: same overlay/workspace machinery as kKernel, but the
-///    repairs refine highest-|residual|-first on the workspace's priority
-///    frontier (not bitwise identical to the other engines; Eq. 3 bounds
-///    the divergence to push noise).
-///  - `kLegacy`: the original private mutable `HinGraph` copy with the
-///    dense O(n)-per-repair refine — kept as the reference/baseline. On a
-///    non-HinGraph base (an mmap-backed `CsrSnapshotView`) the scratch
-///    copy is materialized from the view (graph/materialize.h).
+/// The graph view is a `BasicGraphOverlay` over a CSR snapshot (shared from
+/// the facade or built once here); the dynamic push repairs through a
+/// reusable `PushWorkspace` (O(row + pushes) per TEST), and the
+/// eligible-item filter uses the workspace's epoch marks. `Clear()`-based
+/// reverts keep the adjacency iteration order fixed across candidates.
+/// `PprOptions::engine` picks the repair schedule: FIFO (`kKernel`) or
+/// highest-|residual|-first on the priority frontier (`kFast`; not bitwise
+/// identical to FIFO, Eq. 3 bounds the divergence to push noise).
 ///
 /// The estimates are ε-accurate rather than exact: two items whose true
 /// scores differ by less than ~ε may be mis-ordered, so a verification can
@@ -86,43 +78,34 @@ graph::NodeId BestItem(const std::vector<graph::NodeId>& items,
 /// `PprOptions::epsilon` (default 2.7e-8 already is) and re-verify with the
 /// exact tester where a guarantee is required (the evaluation runner does).
 ///
-/// Tie-breaking contract: `CurrentTopLegacy`/`CurrentTopKernel` rank by
-/// (score descending, node id ascending) with sub-noise scores floored to
-/// zero, so EXACT ties resolve to the lowest item id on every engine —
-/// the ordering never depends on touch order, adjacency order, or the push
-/// schedule. This is what keeps kLegacy/kKernel/kFast verdicts identical
-/// on crafted equal-score items even though kFast's float noise pattern
-/// differs (see explain_fast_tester_test.cc).
+/// Tie-breaking contract: `CurrentTop` ranks by (score descending, node id
+/// ascending) with sub-noise scores floored to zero, so EXACT ties resolve
+/// to the lowest item id under both schedules — the ordering never depends
+/// on touch order, adjacency order, or the push schedule. This is what
+/// keeps kKernel/kFast verdicts identical on crafted equal-score items even
+/// though kFast's float noise pattern differs (see
+/// explain_fast_tester_test.cc).
 template <typename G>
 class FastExplanationTesterT : public TesterInterface {
+  using Overlay = graph::BasicGraphOverlay<graph::CsrGraph>;
+
  public:
-  /// Legacy engine: copies/materializes `base` once (O(V+E)) and runs the
-  /// initial push. Kernel engine: snapshots `base` to CSR (or reuses `csr`
-  /// when the caller already holds a snapshot of the same graph) and runs
-  /// the initial push through the workspace.
+  /// Snapshots `base` to CSR (or reuses `csr` when the caller already holds
+  /// a snapshot of the same graph) and runs the initial push.
   FastExplanationTesterT(const G& base, graph::NodeId user,
                          graph::NodeId why_not_item, const EmigreOptions& opts,
                          const graph::CsrGraph* csr = nullptr)
-      : base_(&base),
-        user_(user),
+      : user_(user),
         wni_(why_not_item),
         opts_(opts),
         items_(base.NodesOfType(opts.rec.item_type)) {
-    if (opts_.rec.ppr.engine != ppr::PushEngine::kLegacy) {
-      const graph::CsrGraph* snapshot = csr;
-      if (snapshot == nullptr) {
-        owned_csr_ = std::make_unique<graph::CsrGraph>(base, 0);
-        snapshot = owned_csr_.get();
-      }
-      overlay_ = std::make_unique<graph::CsrOverlay>(*snapshot);
-      dyn_kernel_ =
-          std::make_unique<ppr::DynamicForwardPush<graph::CsrOverlay>>(
-              *overlay_, user, opts_.rec.ppr, &ws_);
-    } else {
-      scratch_ = graph::MaterializeHinGraph(base);
-      dyn_ = std::make_unique<ppr::DynamicForwardPush<graph::HinGraph>>(
-          *scratch_, user, opts_.rec.ppr);
+    if (csr == nullptr) {
+      owned_csr_ = std::make_unique<graph::CsrGraph>(base, 0);
+      csr = owned_csr_.get();
     }
+    overlay_ = std::make_unique<Overlay>(*csr);
+    dyn_ = std::make_unique<ppr::DynamicForwardPush<Overlay>>(
+        *overlay_, user, opts_.rec.ppr, &ws_);
   }
 
   bool Test(const std::vector<graph::EdgeRef>& edits, Mode mode,
@@ -150,8 +133,7 @@ class FastExplanationTesterT : public TesterInterface {
     ++num_tests_;
     try {
       if (stale_) Rebuild();
-      if (dyn_kernel_ != nullptr) return RunOnceKernel(edits, new_rec);
-      return RunOnceLegacy(edits, new_rec);
+      return TestAndRevert(edits, new_rec);
     } catch (const DeadlineExceededError&) {
       // The query deadline fired inside a repair push, unwinding
       // mid-protocol: mark the state stale so the next TEST (if any — the
@@ -165,74 +147,13 @@ class FastExplanationTesterT : public TesterInterface {
     }
   }
 
-  bool RunOnceLegacy(const std::vector<ModedEdit>& edits,
+  bool TestAndRevert(const std::vector<ModedEdit>& edits,
                      graph::NodeId* new_rec) {
     // All explanation edits are rooted at the user (Definition 4.2), so a
     // single Before/After pair around the whole batch repairs the one
-    // affected transition row.
-    struct AppliedEdit {
-      ModedEdit edit;
-      double removed_weight = 0.0;  // original weight, for reverting removals
-    };
-    std::vector<AppliedEdit> applied;
-    applied.reserve(edits.size());
+    // affected transition row. Reverting is a Clear(), which also restores
+    // the base adjacency order.
     dyn_->BeforeOutEdgeChange(user_);
-    bool ok = true;
-    for (const ModedEdit& e : edits) {
-      if (e.edge.src != user_) {
-        ok = false;  // foreign-rooted edit: not supported by the fast path
-        break;
-      }
-      Status st;
-      double removed_weight = 0.0;
-      if (e.mode == Mode::kAdd) {
-        st = scratch_->AddEdge(e.edge.src, e.edge.dst, e.edge.type,
-                               opts_.add_edge_weight);
-      } else {
-        removed_weight =
-            scratch_->EdgeWeight(e.edge.src, e.edge.dst, e.edge.type);
-        st = scratch_->RemoveEdge(e.edge.src, e.edge.dst, e.edge.type);
-      }
-      if (!st.ok()) {
-        ok = false;
-        break;
-      }
-      applied.push_back(AppliedEdit{e, removed_weight});
-    }
-
-    graph::NodeId top = graph::kInvalidNode;
-    if (ok) {
-      dyn_->AfterOutEdgeChange(user_);
-      top = CurrentTopLegacy();
-      // Revert, repairing the invariant again.
-      dyn_->BeforeOutEdgeChange(user_);
-    }
-    for (auto it = applied.rbegin(); it != applied.rend(); ++it) {
-      if (it->edit.mode == Mode::kAdd) {
-        scratch_
-            ->RemoveEdge(it->edit.edge.src, it->edit.edge.dst,
-                         it->edit.edge.type)
-            .CheckOK();
-      } else {
-        scratch_
-            ->AddEdge(it->edit.edge.src, it->edit.edge.dst,
-                      it->edit.edge.type, it->removed_weight)
-            .CheckOK();
-      }
-    }
-    dyn_->AfterOutEdgeChange(user_);
-
-    if (new_rec != nullptr) *new_rec = ok ? top : graph::kInvalidNode;
-    return ok && top == wni_;
-  }
-
-  bool RunOnceKernel(const std::vector<ModedEdit>& edits,
-                     graph::NodeId* new_rec) {
-    // Same Before/edit/After/revert protocol as the legacy engine, but the
-    // counterfactual lives in a CsrOverlay: reverting is a Clear() (which
-    // also restores the base adjacency order — a mutated HinGraph cannot),
-    // and the repair pushes run on the reusable workspace.
-    dyn_kernel_->BeforeOutEdgeChange(user_);
     bool ok = true;
     for (const ModedEdit& e : edits) {
       if (e.edge.src != user_) {
@@ -254,53 +175,35 @@ class FastExplanationTesterT : public TesterInterface {
 
     graph::NodeId top = graph::kInvalidNode;
     if (ok) {
-      dyn_kernel_->AfterOutEdgeChange(user_);
-      top = CurrentTopKernel();
+      dyn_->AfterOutEdgeChange(user_);
+      top = CurrentTop();
       // Revert, repairing the invariant again.
-      dyn_kernel_->BeforeOutEdgeChange(user_);
+      dyn_->BeforeOutEdgeChange(user_);
     }
     overlay_->Clear();
-    dyn_kernel_->AfterOutEdgeChange(user_);
+    dyn_->AfterOutEdgeChange(user_);
 
     if (new_rec != nullptr) *new_rec = ok ? top : graph::kInvalidNode;
     return ok && top == wni_;
   }
 
-  /// Reconstructs the counterfactual view and dynamic-push state from the
-  /// base graph after a deadline unwind left them mid-repair (stale_).
-  /// Throws `DeadlineExceededError` itself while the deadline stays
-  /// expired, leaving stale_ set for the next attempt.
+  /// Reconstructs the dynamic-push state from the base graph after a
+  /// deadline unwind left it mid-repair (stale_): dropping the overlay edits
+  /// restores the base view, and the fresh initial push overwrites the
+  /// half-repaired state. Throws `DeadlineExceededError` itself while the
+  /// deadline stays expired, leaving stale_ set for the next attempt.
   void Rebuild() {
-    if (overlay_ != nullptr) {
-      // Kernel engine: dropping the overlay edits restores the base view;
-      // the fresh initial push overwrites the half-repaired workspace state.
-      overlay_->Clear();
-      dyn_kernel_ =
-          std::make_unique<ppr::DynamicForwardPush<graph::CsrOverlay>>(
-              *overlay_, user_, opts_.rec.ppr, &ws_);
-    } else {
-      // Legacy engine: the scratch graph may hold unreverted edits — recopy.
-      scratch_ = graph::MaterializeHinGraph(*base_);
-      dyn_ = std::make_unique<ppr::DynamicForwardPush<graph::HinGraph>>(
-          *scratch_, user_, opts_.rec.ppr);
-    }
+    overlay_->Clear();
+    dyn_ = std::make_unique<ppr::DynamicForwardPush<Overlay>>(
+        *overlay_, user_, opts_.rec.ppr, &ws_);
     stale_ = false;
   }
 
-  /// Argmax of the maintained estimates over eligible items (legacy view).
-  graph::NodeId CurrentTopLegacy() const {
-    const double floor = opts_.rec.ppr.epsilon * 100.0;
-    return detail::BestItem(
-        items_, user_, floor,
-        [&](graph::NodeId item) { return !scratch_->HasEdge(user_, item); },
-        [&](graph::NodeId item) { return dyn_->Estimate(item); });
-  }
-
-  /// Same, over the overlay view with the workspace mark bitmap.
-  graph::NodeId CurrentTopKernel() {
+  /// Argmax of the maintained estimates over eligible items.
+  graph::NodeId CurrentTop() {
     // O(deg) epoch marks over the user's effective out-neighborhood replace
-    // the legacy per-item HasEdge probes. The marks share the epoch of the
-    // repair that just ran and stay valid until the next one.
+    // per-item HasEdge probes. The marks share the epoch of the repair that
+    // just ran and stay valid until the next one.
     overlay_->ForEachOutEdge(
         user_,
         [&](graph::NodeId dst, graph::EdgeTypeId, double) { ws_.Mark(dst); });
@@ -308,29 +211,22 @@ class FastExplanationTesterT : public TesterInterface {
     return detail::BestItem(
         items_, user_, floor,
         [&](graph::NodeId item) { return !ws_.Marked(item); },
-        [&](graph::NodeId item) { return dyn_kernel_->Estimate(item); });
+        [&](graph::NodeId item) { return dyn_->Estimate(item); });
   }
 
-  const G* base_;  ///< for Rebuild() after a deadline unwind
   graph::NodeId user_;
   graph::NodeId wni_;
   EmigreOptions opts_;
   std::vector<graph::NodeId> items_;  ///< all item-typed nodes
   size_t num_tests_ = 0;
-  /// A deadline unwound a TEST mid-repair: the dynamic-push state (and, in
-  /// the legacy engine, the scratch graph) no longer satisfy the invariant
-  /// and must be rebuilt before the next TEST.
+  /// A deadline unwound a TEST mid-repair: the dynamic-push state no longer
+  /// satisfies the invariant and must be rebuilt before the next TEST.
   bool stale_ = false;
 
-  // Legacy engine state.
-  std::unique_ptr<graph::HinGraph> scratch_;
-  std::unique_ptr<ppr::DynamicForwardPush<graph::HinGraph>> dyn_;
-
-  // Kernel engine state.
   std::unique_ptr<graph::CsrGraph> owned_csr_;
-  std::unique_ptr<graph::CsrOverlay> overlay_;
+  std::unique_ptr<Overlay> overlay_;
   ppr::PushWorkspace ws_;
-  std::unique_ptr<ppr::DynamicForwardPush<graph::CsrOverlay>> dyn_kernel_;
+  std::unique_ptr<ppr::DynamicForwardPush<Overlay>> dyn_;
 };
 
 /// The classic approximate tester over the in-memory graph.

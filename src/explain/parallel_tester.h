@@ -15,15 +15,13 @@ namespace emigre::explain {
 ///
 /// The paper's runtime profile (Table 5, §6.3) is dominated by TEST calls,
 /// and §5.3 points at cheaper per-candidate verification as the lever.
-/// Candidate overlays are independent — each TEST builds its own
-/// `GraphOverlay` (exact tester) or runs on a private scratch graph with
-/// dynamic-push state (fast tester) — so a batch of candidates is
-/// embarrassingly parallel. This class owns one tester per worker thread,
-/// created lazily by a caller-supplied factory, and distributes a batch
-/// over an internal `ThreadPool`. With the kernel PPR engine the same
-/// factory discipline yields one `PushWorkspace` and one `CsrOverlay` per
-/// worker — mutable push state is never shared — while all workers read
-/// the same immutable CSR snapshot.
+/// Candidate overlays are independent — each tester owns its overlay (and,
+/// for the fast tester, its dynamic-push state) — so a batch of candidates
+/// is embarrassingly parallel. This class owns one tester per worker
+/// thread, created lazily by a caller-supplied factory, and distributes a
+/// batch over an internal `ThreadPool`. Each worker thus holds its own
+/// overlay and push workspace — mutable push state is never shared — while
+/// all workers read the same immutable CSR snapshot.
 ///
 /// Determinism contract (docs/parallelism.md):
 ///  - The accepted candidate is the *lowest-index* success in batch order,

@@ -10,13 +10,11 @@
 #include "explain/explanation.h"
 #include "explain/options.h"
 #include "graph/csr.h"
-#include "graph/csr_overlay.h"
 #include "graph/hin_graph.h"
 #include "graph/overlay.h"
 #include "graph/types.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "ppr/workspace.h"
 #include "recsys/recommender.h"
 #include "util/timer.h"
 
@@ -118,19 +116,16 @@ class TesterInterface {
 /// rate drop without it).
 ///
 /// Generic over the base graph `G`: the classic `HinGraph` (the
-/// `ExplanationTester` alias) or an mmap-backed `CsrSnapshotView` — the
-/// kernel engines only touch the shared CSR columns either way, and the
-/// legacy engine lays a `BasicGraphOverlay<G>` over the base directly.
+/// `ExplanationTester` alias) or an mmap-backed `CsrSnapshotView`. Either
+/// way the counterfactuals run over an overlay on a CSR snapshot of the
+/// base, cleared per TEST, so every TEST traverses the base edges in the
+/// same order.
 template <typename G>
 class ExplanationTesterT : public TesterInterface {
  public:
   /// The tester keeps references; `base` (and `csr`, when given) must
-  /// outlive it. With `PprOptions::engine == kKernel` the counterfactual
-  /// recommendations run over a `CsrOverlay` on a CSR snapshot — passed-in
-  /// `csr` when available (the `Emigre` facade shares its own), otherwise
-  /// built lazily on first TEST — with the PPR scratch state held in a
-  /// reusable `PushWorkspace`. Scores are identical either way; only the
-  /// per-TEST allocation profile differs.
+  /// outlive it. `csr` is a snapshot of `base` (the `Emigre` facade shares
+  /// its own); without one, the tester builds it on first TEST.
   ExplanationTesterT(const G& base, graph::NodeId user,
                      graph::NodeId why_not_item, const EmigreOptions& opts,
                      const graph::CsrGraph* csr = nullptr)
@@ -158,17 +153,18 @@ class ExplanationTesterT : public TesterInterface {
 
  private:
   /// Shared body of Test/TestMixed: applies each edit in its direction and
-  /// re-runs the recommender through the configured engine.
+  /// re-runs the recommender on the overlay.
   bool RunOnce(const std::vector<ModedEdit>& edits, graph::NodeId* new_rec);
 
-  /// Builds the CSR snapshot + overlay on first kernel-engine TEST.
-  void EnsureKernelState() {
+  /// Builds the CSR snapshot (unless shared) and the overlay on first TEST.
+  void EnsureOverlay() {
     if (overlay_ != nullptr) return;
     if (csr_ == nullptr) {
       owned_csr_ = std::make_unique<graph::CsrGraph>(*base_, 0);
       csr_ = owned_csr_.get();
     }
-    overlay_ = std::make_unique<graph::CsrOverlay>(*csr_);
+    overlay_ =
+        std::make_unique<graph::BasicGraphOverlay<graph::CsrGraph>>(*csr_);
   }
 
   const G* base_;
@@ -178,10 +174,8 @@ class ExplanationTesterT : public TesterInterface {
   EmigreOptions opts_;
   size_t num_tests_ = 0;
 
-  // Kernel-engine state (unused by the legacy engine).
   std::unique_ptr<graph::CsrGraph> owned_csr_;
-  std::unique_ptr<graph::CsrOverlay> overlay_;
-  ppr::PushWorkspace ws_;
+  std::unique_ptr<graph::BasicGraphOverlay<graph::CsrGraph>> overlay_;
 };
 
 /// The classic exact tester over the in-memory graph.
@@ -194,55 +188,29 @@ bool ExplanationTesterT<G>::RunOnce(const std::vector<ModedEdit>& edits,
   EMIGRE_COUNTER("explain.tests.exact").Increment();
   ++num_tests_;
   try {
-    // All engines apply the same edit semantics to an overlay and re-run
-    // the same recommender arithmetic; the workspace engines (kKernel,
-    // kFast) differ only in state reuse (CSR base arrays, overlay cleared
-    // instead of reconstructed, PPR scratch in the workspace), so with the
-    // default power-iteration scorer the verdicts are identical across all
-    // three engines.
-    if (opts_.rec.ppr.engine != ppr::PushEngine::kLegacy) {
-      EnsureKernelState();
-      overlay_->Clear();
-      for (const ModedEdit& e : edits) {
-        Status st;
-        if (e.mode == Mode::kAdd) {
-          st = overlay_->AddEdge(e.edge.src, e.edge.dst, e.edge.type,
-                                 opts_.add_edge_weight);
-        } else {
-          st = overlay_->RemoveEdge(e.edge.src, e.edge.dst, e.edge.type);
-        }
-        if (!st.ok()) {
-          // A malformed candidate (duplicate add, missing removal target)
-          // can never be a valid explanation.
-          if (new_rec != nullptr) *new_rec = graph::kInvalidNode;
-          return false;
-        }
-      }
-      graph::NodeId top = recsys::Recommend(*overlay_, user_, opts_.rec, &ws_);
-      if (new_rec != nullptr) *new_rec = top;
-      return top == wni_;
-    }
-
-    graph::BasicGraphOverlay<G> overlay(*base_);
+    EnsureOverlay();
+    overlay_->Clear();
     for (const ModedEdit& e : edits) {
       Status st;
       if (e.mode == Mode::kAdd) {
-        st = overlay.AddEdge(e.edge.src, e.edge.dst, e.edge.type,
-                             opts_.add_edge_weight);
+        st = overlay_->AddEdge(e.edge.src, e.edge.dst, e.edge.type,
+                               opts_.add_edge_weight);
       } else {
-        st = overlay.RemoveEdge(e.edge.src, e.edge.dst, e.edge.type);
+        st = overlay_->RemoveEdge(e.edge.src, e.edge.dst, e.edge.type);
       }
       if (!st.ok()) {
+        // A malformed candidate (duplicate add, missing removal target)
+        // can never be a valid explanation.
         if (new_rec != nullptr) *new_rec = graph::kInvalidNode;
         return false;
       }
     }
-    graph::NodeId top = recsys::Recommend(overlay, user_, opts_.rec);
+    graph::NodeId top = recsys::Recommend(*overlay_, user_, opts_.rec);
     if (new_rec != nullptr) *new_rec = top;
     return top == wni_;
   } catch (const DeadlineExceededError&) {
     // The query deadline fired inside the counterfactual PPR: the candidate
-    // is unverifiable within budget, so it fails. The kernel overlay state
+    // is unverifiable within budget, so it fails. The overlay state
     // self-heals (next TEST starts with Clear()); the search's own budget
     // check exits with kBudgetExceeded right after.
     EMIGRE_COUNTER("explain.tests.exact.deadline").Increment();

@@ -369,11 +369,9 @@ inline constexpr const char* kFaultSites[] = {
     "data.bin.read",           ///< binary dataset reader (binfmt)
     "graph.load",              ///< graph file reader
     "graph.snapshot.map",      ///< CSR snapshot mapper (csr_snapshot)
-    "ppr.flp.kernel",          ///< forward-push kernel loop
-    "ppr.flp.legacy",          ///< legacy forward push loop
+    "ppr.flp",                 ///< static forward push loop
     "ppr.flp.fast",            ///< priority-scheduled forward push (kFast)
-    "ppr.rlp.kernel",          ///< reverse-push kernel loop
-    "ppr.rlp.legacy",          ///< legacy reverse push loop
+    "ppr.rlp",                 ///< static reverse push loop
     "ppr.rlp.fast",            ///< priority-scheduled reverse push (kFast)
     "ppr.rlp.fast.batch",      ///< batched multi-target reverse push (kFast)
     "ppr.dyn.refine",          ///< dynamic-push repair refine

@@ -14,12 +14,12 @@ namespace emigre::graph {
 /// the full metadata surface (type names + labels) — a `CsrSnapshotView`,
 /// or another `HinGraph` (plain copy).
 ///
-/// The kLegacy push engine mutates a private scratch graph per tester;
-/// mmap-backed views are immutable, so legacy-engine testers materialize
-/// one. Out-adjacency order is preserved exactly (CSR column order); the
-/// in-adjacency of each node is re-derived in (src, out-position) order,
-/// which only matters for the floating-point summation order of reverse
-/// pushes — the push estimates stay within the engine's ε contract.
+/// The CLI commands that need a mutable graph (stats, experiment,
+/// selfcheck) materialize a snapshot input with it. Out-adjacency order is
+/// preserved exactly (CSR column order); the in-adjacency of each node is
+/// re-derived in (src, out-position) order, which only matters for the
+/// floating-point summation order of reverse pushes — the push estimates
+/// stay within the engine's ε contract.
 template <typename G>
 std::unique_ptr<HinGraph> MaterializeHinGraph(const G& g) {
   if constexpr (std::is_same_v<G, HinGraph>) {

@@ -25,8 +25,15 @@ namespace emigre::graph {
 ///
 /// The base may be any `GraphLike` view that additionally provides
 /// `IsValidNode`, `HasEdge`, `EdgeWeight` and `ForEachInEdge` — a
-/// `HinGraph` (the `GraphOverlay` alias below) or an mmap-backed
+/// `HinGraph` (the `GraphOverlay` alias below), a `CsrGraph` snapshot (the
+/// testers' base: contiguous neighbor/weight arrays) or an mmap-backed
 /// `CsrSnapshotView` (csr_snapshot.h) serve equally.
+///
+/// `Clear()` returns the view to the untouched base, so over an immutable
+/// base repeated edit → evaluate → Clear cycles traverse edges in the same
+/// order every time (a mutated `HinGraph` loses that: remove + re-add
+/// moves the edge to the end of its adjacency list). The testers' verdicts
+/// are deterministic across candidates because of it.
 ///
 /// Overlays are cheap to construct and to `Clear()`, and several overlays
 /// over the same base may be used concurrently from different threads as

@@ -13,9 +13,10 @@ namespace emigre::obs {
 namespace {
 
 bool IsLatencyMetric(const std::string& flat_name) {
-  // "explain.query.seconds/sum" — the sum of a *seconds histogram is wall
-  // time; its count (and every other series) is an event count.
-  return EndsWith(flat_name, "seconds/sum");
+  // Wall time is a gauge named *seconds (the bench rows' timings) or
+  // "explain.query.seconds/sum", the sum of a *seconds histogram; its count
+  // (and every other series) is an event count.
+  return EndsWith(flat_name, "seconds") || EndsWith(flat_name, "seconds/sum");
 }
 
 struct FlatMetric {

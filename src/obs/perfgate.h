@@ -17,7 +17,9 @@ namespace emigre::obs {
 ///
 /// Metrics are flattened to scalar series:
 ///   - counter `c`            -> "c"            (counter tolerance)
-///   - gauge `g`              -> "g"            (counter tolerance)
+///   - gauge `g`              -> "g"            (latency tolerance when the
+///                                               name ends in "seconds",
+///                                               counter tolerance otherwise)
 ///   - histogram `h`          -> "h/count"      (counter tolerance)
 ///                               "h/sum"        (latency tolerance when the
 ///                                               name ends in "seconds")
@@ -34,8 +36,9 @@ namespace emigre::obs {
 struct PerfGateOptions {
   /// Relative tolerance for event counts (counters, gauges, bucket counts).
   double counter_tol = 0.10;
-  /// Relative tolerance for wall-clock sums (histograms named *seconds) —
-  /// wide, because absolute timings vary run to run and machine to machine.
+  /// Relative tolerance for wall-clock times (gauges named *seconds, sums
+  /// of histograms named *seconds) — wide, because absolute timings vary
+  /// run to run and machine to machine.
   double latency_tol = 0.50;
   /// Noise floors: a metric is compared only when baseline or current
   /// exceeds the floor (counts, and seconds respectively).

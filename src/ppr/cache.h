@@ -38,10 +38,10 @@ namespace emigre::ppr {
 /// unchanged — the owner (e.g. `explain::Emigre`) guarantees that by
 /// construction.
 ///
-/// The push itself runs through the engine selected by
-/// `PprOptions::engine`; the kernel engine draws reusable `PushWorkspace`s
-/// from an internal pool (one in flight per concurrently-missing thread),
-/// so repeated misses do not re-zero O(|V|) state.
+/// A miss runs the dense `ReversePush` and compacts its estimates into an
+/// exactly-sized entry. Under `PushEngine::kFast` it runs the priority (or
+/// batched) kernels instead, on reusable `PushWorkspace`s drawn from an
+/// internal pool (one in flight per concurrently-missing thread).
 template <graph::GraphLike G>
 class ReversePushCache {
  public:
@@ -226,29 +226,16 @@ class ReversePushCache {
   /// estimates. Thread-safe (workspaces come from the pool).
   std::shared_ptr<const SparseVector> Compute(graph::NodeId target) {
     EMIGRE_FAULT_POINT("ppr.cache.fill");
-    if (opts_.engine != PushEngine::kLegacy) {
+    if (opts_.engine == PushEngine::kFast) {
       std::unique_ptr<PushWorkspace> ws = AcquireWorkspace();
-      if (opts_.engine == PushEngine::kFast) {
-        ReversePushKernelFast(*g_, target, opts_, *ws);
-      } else {
-        ReversePushKernel(*g_, target, opts_, *ws);
-      }
+      ReversePushKernelFast(*g_, target, opts_, *ws);
       auto vector =
           std::make_shared<const SparseVector>(ws->ExportSparseEstimates());
       ReleaseWorkspace(std::move(ws));
       return vector;
     }
-    PushResult dense = ReversePush(*g_, target, opts_);
-    std::vector<graph::NodeId> ids;
-    std::vector<double> values;
-    for (graph::NodeId s = 0; s < dense.estimate.size(); ++s) {
-      if (dense.estimate[s] != 0.0) {
-        ids.push_back(s);
-        values.push_back(dense.estimate[s]);
-      }
-    }
-    return std::make_shared<const SparseVector>(std::move(ids),
-                                                std::move(values));
+    return std::make_shared<const SparseVector>(
+        SparseVector::FromDense(ReversePush(*g_, target, opts_).estimate));
   }
 
   /// Computes the columns for `targets` (unique, caller-deduped): one

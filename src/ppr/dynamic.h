@@ -35,18 +35,20 @@ namespace emigre::ppr {
 /// Residuals may turn negative after deletions; the refine loop pushes
 /// signed residuals symmetrically.
 ///
-/// Two refine engines share the arithmetic:
-///  - Legacy (no workspace): O(n) scan to seed a `std::deque`, plus an O(n)
-///    `queued` array allocated **per repair** — the per-candidate cost this
-///    PR's kernels eliminate.
-///  - Kernel (workspace supplied): the refine frontier is seeded from only
+/// Two FIFO refine loops share the arithmetic:
+///  - Dense (no workspace): O(n) scan to seed a `std::deque`, plus an O(n)
+///    `queued` array allocated **per repair**. Kept as the reference the
+///    sparse refine is tested and benchmarked against.
+///  - Sparse (workspace supplied): the refine frontier is seeded from only
 ///    the nodes the repair touched ({u} ∪ old row ∪ new row, ascending) and
 ///    runs on the workspace's reusable ring buffer, so a repair costs
 ///    O(row + pushes) instead of O(n). Valid because every refine leaves all
 ///    |residual| below threshold, so after a repair only touched nodes can
 ///    exceed it — the seed sets (and therefore the push schedules, and
-///    therefore the floating-point results) of the two engines are
+///    therefore the floating-point results) of the two loops are
 ///    identical.
+/// Under `PushEngine::kFast` a workspace-backed instance refines on the
+/// priority frontier instead (`RefineSparseFast`).
 ///
 /// Usage: construct over a mutable graph view, then for each edit call
 /// `BeforeOutEdgeChange(u)`, mutate the graph, call `AfterOutEdgeChange(u)`.
@@ -55,7 +57,7 @@ class DynamicForwardPush {
  public:
   /// Runs the initial push from `source` over the current state of `g`.
   /// The referenced graph must outlive this object; so must `workspace`
-  /// when supplied (nullptr selects the legacy dense-refine engine). The
+  /// when supplied (nullptr selects the dense reference refine). The
   /// workspace is owned by the caller and is exclusively this object's
   /// between `AfterOutEdgeChange` calls — do not share one across
   /// concurrently-repairing instances.
@@ -63,10 +65,8 @@ class DynamicForwardPush {
                      const PprOptions& opts = {},
                      PushWorkspace* workspace = nullptr)
       : g_(&g), source_(source), opts_(opts), ws_(workspace) {
-    if (ws_ != nullptr) {
-      KernelResult init = opts.engine == PushEngine::kFast
-                              ? ForwardPushKernelFast(g, source, opts, *ws_)
-                              : ForwardPushKernel(g, source, opts, *ws_);
+    if (ws_ != nullptr && opts.engine == PushEngine::kFast) {
+      KernelResult init = ForwardPushKernelFast(g, source, opts, *ws_);
       state_ = ExportDensePush(*ws_, g.NumNodes(), init.residual_mass);
     } else {
       state_ = ForwardPush(g, source, opts);
@@ -108,7 +108,7 @@ class DynamicForwardPush {
     if (ws_ != nullptr) {
       // Only nodes the repair wrote can exceed the threshold (everything
       // else converged below it in the previous refine); seed ascending to
-      // match the legacy full-scan enqueue order exactly.
+      // match the dense full-scan enqueue order exactly.
       seed_buf_.clear();
       seed_buf_.push_back(u);
       for (const auto& [v, w] : pending_row_) seed_buf_.push_back(v);
@@ -217,7 +217,7 @@ class DynamicForwardPush {
     return true;
   }
 
-  /// Legacy forward push over the existing state with signed residuals:
+  /// Dense reference refine over the existing state with signed residuals:
   /// O(n) scan + per-call dense queued array.
   void Refine() {
     const size_t n = g_->NumNodes();
@@ -248,7 +248,7 @@ class DynamicForwardPush {
     EMIGRE_COUNTER("ppr.dyn.refine_pushes").Increment(pushes);
   }
 
-  /// Kernel refine: seeds only from `seed_buf_` (the nodes the repair
+  /// Sparse refine: seeds only from `seed_buf_` (the nodes the repair
   /// touched) and reuses the workspace ring frontier — O(seeds + pushes).
   void RefineSparse() {
     ws_->Begin(g_->NumNodes());

@@ -61,17 +61,21 @@ struct PushResult {
 /// exceeds ε·max(out_degree, 1); with ε→0 the estimate converges to the
 /// exact PPR(source, ·).
 ///
-/// Runs in time O(Σ pushes) independent of graph size for fixed ε — the
-/// reason the paper adopts it for repeated counterfactual evaluations.
+/// The push work is O(Σ pushes) for fixed ε — the reason the paper adopts
+/// it for repeated counterfactual evaluations. The state is dense (an O(n)
+/// zero-fill per call): static pushes at the CLI's ε touch most of the
+/// graph, where dense arrays measured faster than epoch-stamped sparse
+/// state (docs/performance.md). This FIFO loop and `ReversePush` are the
+/// only static pushes of the default `PushEngine::kKernel` schedule.
 template <graph::GraphLike G>
 PushResult ForwardPush(const G& g, graph::NodeId source,
                        const PprOptions& opts = {}) {
   EMIGRE_SPAN("flp");
-  EMIGRE_FAULT_POINT("ppr.flp.legacy");
+  EMIGRE_FAULT_POINT("ppr.flp");
   const size_t n = g.NumNodes();
   PushResult out;
-  out.estimate.assign(n, 0.0);  // NOLINT(dense-reset): legacy reference path
-  out.residual.assign(n, 0.0);  // NOLINT(dense-reset): legacy reference path
+  out.estimate.assign(n, 0.0);  // NOLINT(dense-reset): dense static push
+  out.residual.assign(n, 0.0);  // NOLINT(dense-reset): dense static push
   if (source >= n) return out;
 
   out.residual[source] = 1.0;

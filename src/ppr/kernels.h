@@ -20,145 +20,10 @@ struct KernelResult {
   double residual_mass = 0.0;
 };
 
-/// \brief Forward Local Push into a reusable `PushWorkspace`.
-///
-/// Byte-for-byte the same push schedule and floating-point operation order
-/// as the legacy `ForwardPush` — FIFO frontier, identical enqueue
-/// conditions, identical accumulation order — so the estimates it produces
-/// are bitwise identical to the legacy engine's on the same graph view. The
-/// only difference is the state representation: epoch-stamped sparse
-/// vectors and a flat ring frontier instead of freshly zero-filled dense
-/// arrays and a `std::deque`, making a push that touches k nodes cost O(k)
-/// instead of O(n).
-///
-/// On return the workspace holds the estimates/residuals for the touched
-/// nodes (valid until the next `Begin`); read them with
-/// `ws.Estimate(v)` / `ws.Residual(v)`, compact with
-/// `ws.ExportSparseEstimates()`, or expand with `ExportDensePush` below.
-template <graph::GraphLike G>
-KernelResult ForwardPushKernel(const G& g, graph::NodeId source,
-                               const PprOptions& opts, PushWorkspace& ws) {
-  EMIGRE_SPAN("flp.kernel");
-  EMIGRE_FAULT_POINT("ppr.flp.kernel");
-  const size_t n = g.NumNodes();
-  ws.Begin(n);
-  KernelResult out;
-  if (source >= n) return out;
-  PushHotView hot(ws);
-
-  hot.Touch(source);
-  hot.ResidualRef(source) = 1.0;
-  out.residual_mass = 1.0;
-  hot.FrontierPush(source);
-
-  auto threshold = [&](graph::NodeId u) {
-    size_t deg = g.OutDegree(u);
-    return opts.epsilon * static_cast<double>(deg > 0 ? deg : 1);
-  };
-
-  size_t max_queue = hot.FrontierSize();
-  while (!hot.FrontierEmpty()) {
-    // Cooperative deadline: no-op unless the caller armed one.
-    if (DeadlineExpired(opts, out.pushes)) throw DeadlineExceededError();
-    graph::NodeId u = hot.FrontierPop();
-    double r = hot.ResidualRef(u);
-    if (r < threshold(u)) continue;
-    hot.ResidualRef(u) = 0.0;
-    out.residual_mass -= r;
-    ++out.pushes;
-
-    double out_w = g.OutWeight(u);
-    if (out_w <= 0.0) {
-      // Dangling node: see ForwardPush — the whole residual converts.
-      hot.EstimateRef(u) += r;
-      continue;
-    }
-    hot.EstimateRef(u) += opts.alpha * r;
-    double spread = (1.0 - opts.alpha) * r / out_w;
-    g.ForEachOutEdge(u, [&](graph::NodeId v, graph::EdgeTypeId, double w) {
-      hot.Touch(v);
-      hot.ResidualRef(v) += spread * w;
-      out.residual_mass += spread * w;
-      if (!hot.InFrontier(v) && hot.ResidualRef(v) >= threshold(v)) {
-        hot.FrontierPush(v);
-      }
-    });
-    if (hot.FrontierSize() > max_queue) max_queue = hot.FrontierSize();
-  }
-
-  EMIGRE_COUNTER("ppr.flp.kernel.calls").Increment();
-  EMIGRE_COUNTER("ppr.flp.kernel.pushes").Increment(out.pushes);
-  EMIGRE_GAUGE("ppr.flp.kernel.max_queue")
-      .SetMax(static_cast<double>(max_queue));
-  return out;
-}
-
-/// \brief Reverse Local Push into a reusable `PushWorkspace`.
-///
-/// Kernelized `ReversePush` with the same bitwise-equivalence guarantee as
-/// `ForwardPushKernel`: identical FIFO schedule and float-op order, sparse
-/// workspace state. `ws.Estimate(s)` ≈ PPR(s, target) after the call.
-template <graph::GraphLike G>
-KernelResult ReversePushKernel(const G& g, graph::NodeId target,
-                               const PprOptions& opts, PushWorkspace& ws) {
-  EMIGRE_SPAN("rlp.kernel");
-  EMIGRE_FAULT_POINT("ppr.rlp.kernel");
-  const size_t n = g.NumNodes();
-  ws.Begin(n);
-  KernelResult out;
-  if (target >= n) return out;
-  PushHotView hot(ws);
-
-  hot.Touch(target);
-  hot.ResidualRef(target) = 1.0;
-  out.residual_mass = 1.0;
-  hot.FrontierPush(target);
-
-  size_t max_queue = hot.FrontierSize();
-  while (!hot.FrontierEmpty()) {
-    // Cooperative deadline: no-op unless the caller armed one.
-    if (DeadlineExpired(opts, out.pushes)) throw DeadlineExceededError();
-    graph::NodeId v = hot.FrontierPop();
-    double r = hot.ResidualRef(v);
-    if (r < opts.epsilon) continue;
-    hot.ResidualRef(v) = 0.0;
-    out.residual_mass -= r;
-    ++out.pushes;
-
-    bool dangling = g.OutWeight(v) <= 0.0;
-    if (dangling) {
-      // Geometric series of self-pushes: see ReversePush.
-      hot.EstimateRef(v) += r;
-      r /= opts.alpha;
-    } else {
-      hot.EstimateRef(v) += opts.alpha * r;
-    }
-
-    double spread = (1.0 - opts.alpha) * r;
-    g.ForEachInEdge(v, [&](graph::NodeId u, graph::EdgeTypeId, double w) {
-      double out_w = g.OutWeight(u);
-      if (out_w <= 0.0) return;  // u unreachable as a walk step into v
-      hot.Touch(u);
-      hot.ResidualRef(u) += spread * w / out_w;
-      out.residual_mass += spread * w / out_w;
-      if (!hot.InFrontier(u) && hot.ResidualRef(u) >= opts.epsilon) {
-        hot.FrontierPush(u);
-      }
-    });
-    if (hot.FrontierSize() > max_queue) max_queue = hot.FrontierSize();
-  }
-
-  EMIGRE_COUNTER("ppr.rlp.kernel.calls").Increment();
-  EMIGRE_COUNTER("ppr.rlp.kernel.pushes").Increment(out.pushes);
-  EMIGRE_GAUGE("ppr.rlp.kernel.max_queue")
-      .SetMax(static_cast<double>(max_queue));
-  return out;
-}
-
 /// \brief Forward Local Push, best-residual-per-edge-first
 /// (`PushEngine::kFast`).
 ///
-/// Same per-push arithmetic as `ForwardPushKernel`, different schedule: a
+/// Same per-push arithmetic as `ForwardPush`, different schedule: a
 /// bucketed priority frontier (`PushPriorityView`) pops an approximately
 /// largest residual-per-out-edge first. Normalizing by the push's edge cost
 /// matters on skewed-degree graphs: raw-residual order surfaces hubs every
@@ -166,7 +31,7 @@ KernelResult ReversePushKernel(const G& g, graph::NodeId target,
 /// hubs accumulate mass and clears cheap nodes early, so small residuals
 /// often fall below the ε·deg threshold before they are ever popped —
 /// less edge work than the FIFO order on push-bound graphs.
-/// Deliberately NOT bitwise identical to the legacy/kernel engines: the
+/// Deliberately NOT bitwise identical to the FIFO `ForwardPush`: the
 /// float-summation order changes, so estimates differ within the Eq. 3
 /// tolerance. `check::ValidateForwardPushInvariant` is the correctness
 /// oracle for this engine (it is schedule-independent), and the converged
@@ -232,7 +97,7 @@ KernelResult ForwardPushKernelFast(const G& g, graph::NodeId source,
 /// \brief Reverse Local Push, best-residual-per-edge-first
 /// (`PushEngine::kFast`).
 ///
-/// Priority-scheduled `ReversePushKernel` with the same schedule-freedom
+/// Priority-scheduled `ReversePush` with the same schedule-freedom
 /// contract as `ForwardPushKernelFast`; `check::ValidateReversePushInvariant`
 /// (Eq. 4) is the oracle. Unlike the forward kernel the priority key is
 /// the RAW residual (cost = 1), not residual / in-degree: reverse mass
@@ -318,7 +183,9 @@ struct BatchPushStats {
 /// column independently satisfies the Eq. 4 invariant (residual(s) < ε for
 /// every s); pass `dense_out` to export full per-column `PushResult` states
 /// for the validators. Schedule-free like the other kFast kernels: columns
-/// are NOT bitwise identical to single-target pushes.
+/// are NOT bitwise identical to single-target pushes. The column rows are
+/// the only per-node state the batch writes: `ws.Estimate`/`ws.Residual`
+/// mean nothing after it.
 template <graph::GraphLike G>
 std::vector<SparseVector> ReversePushBatchKernel(
     const G& g, const std::vector<graph::NodeId>& targets,
@@ -342,8 +209,7 @@ std::vector<SparseVector> ReversePushBatchKernel(
   std::vector<double>& res_rows = ws.DenseBuffer(7, row_cap * B);
   size_t rows_ready = 0;
   auto touch_row = [&](graph::NodeId v) -> size_t {
-    pq.Touch(v);
-    size_t slot = pq.SlotOf(v);
+    size_t slot = pq.TouchSlot(v);
     if (slot >= rows_ready) {
       if (slot >= row_cap) {
         while (row_cap <= slot) row_cap *= 2;
@@ -432,18 +298,45 @@ std::vector<SparseVector> ReversePushBatchKernel(
   EMIGRE_COUNTER("ppr.rlp.fast.batch.column_pushes")
       .Increment(column_pushes);
 
+  // Compact the columns in ONE pass over the touched rows in node-id
+  // order, each column sized exactly (non-zeros counted first). A push that
+  // touched at least 1/16 of the graph finds that order by sweeping the
+  // node ids (O(n) stamp reads, no sort); a smaller one sorts its touched
+  // ids once.
   const std::vector<graph::NodeId>& touched = ws.touched();
-  for (size_t c = 0; c < B; ++c) {
-    std::vector<graph::NodeId> ids;
+  std::vector<std::vector<graph::NodeId>> ids(B);
+  std::vector<std::vector<double>> values(B);
+  {
+    std::vector<size_t> nonzeros(B, 0);
     for (size_t s = 0; s < touched.size(); ++s) {
-      if (est_rows[s * B + c] != 0.0) ids.push_back(touched[s]);
+      for (size_t c = 0; c < B; ++c) {
+        if (est_rows[s * B + c] != 0.0) ++nonzeros[c];
+      }
     }
-    std::sort(ids.begin(), ids.end());
-    std::vector<double> values(ids.size());
-    for (size_t i = 0; i < ids.size(); ++i) {
-      values[i] = est_rows[ws.SlotOf(ids[i]) * B + c];
+    for (size_t c = 0; c < B; ++c) {
+      ids[c].reserve(nonzeros[c]);
+      values[c].reserve(nonzeros[c]);
     }
-    out[c] = SparseVector(std::move(ids), std::move(values));
+  }
+  auto emit_row = [&](graph::NodeId v) {
+    const double* row = &est_rows[ws.SlotOf(v) * B];
+    for (size_t c = 0; c < B; ++c) {
+      if (row[c] == 0.0) continue;
+      ids[c].push_back(v);
+      values[c].push_back(row[c]);
+    }
+  };
+  if (touched.size() * 16 >= n) {
+    for (graph::NodeId v = 0; v < n; ++v) {
+      if (ws.Touched(v)) emit_row(v);
+    }
+  } else {
+    std::vector<graph::NodeId> order(touched);
+    std::sort(order.begin(), order.end());
+    for (graph::NodeId v : order) emit_row(v);
+  }
+  for (size_t c = 0; c < B; ++c) {
+    out[c] = SparseVector(std::move(ids[c]), std::move(values[c]));
   }
   if (dense_out != nullptr) {
     dense_out->clear();
@@ -462,9 +355,9 @@ std::vector<SparseVector> ReversePushBatchKernel(
   return out;
 }
 
-/// \brief Expands the workspace state of the last kernel push into a dense
-/// `PushResult` (for the Eq. 3/4 validators, equivalence tests, and the
-/// one-off initial state of `DynamicForwardPush`). O(n) — not for hot loops.
+/// \brief Expands the workspace state of the last single-target kFast push
+/// into a dense `PushResult` (for the Eq. 3/4 validators and the one-off
+/// kFast initial state of `DynamicForwardPush`). O(n) — not for hot loops.
 inline PushResult ExportDensePush(const PushWorkspace& ws, size_t n,
                                   double residual_mass) {
   PushResult out;

@@ -9,7 +9,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "ppr/options.h"
-#include "ppr/workspace.h"
 #include "util/timer.h"
 
 namespace emigre::ppr {
@@ -26,60 +25,6 @@ namespace emigre::ppr {
 /// property-tested against it.
 ///
 /// Returns a dense distribution over all nodes (sums to 1).
-///
-/// `PowerIterationPprInto` writes into a caller-provided buffer (a
-/// `PushWorkspace::DenseBuffer`) and reuses the workspace's second buffer
-/// as the iteration scratch — the distribution is inherently dense, so the
-/// workspace contribution here is only allocation reuse, not sparsity; the
-/// arithmetic is identical to `PowerIterationPpr`.
-template <graph::GraphLike G>
-void PowerIterationPprInto(const G& g, graph::NodeId seed,
-                           const PprOptions& opts, PushWorkspace& ws,
-                           std::vector<double>** result) {
-  EMIGRE_SPAN("power");
-  const size_t n = g.NumNodes();
-  std::vector<double>* p = &ws.DenseBuffer(0, n);
-  std::vector<double>* next = &ws.DenseBuffer(1, n);
-  std::fill(p->begin(), p->begin() + n, 0.0);
-  *result = p;
-  if (seed >= n) return;
-  (*p)[seed] = 1.0;
-
-  size_t iterations = 0;
-  for (size_t iter = 0; iter < opts.max_power_iterations; ++iter) {
-    // One iteration is an O(edges) sweep, so check the deadline per
-    // iteration rather than per push.
-    if (opts.deadline != nullptr && opts.deadline->Expired()) {
-      throw DeadlineExceededError();
-    }
-    ++iterations;
-    std::fill(next->begin(), next->begin() + n, 0.0);
-    (*next)[seed] += opts.alpha;
-    for (graph::NodeId u = 0; u < n; ++u) {
-      double mass = (*p)[u];
-      if (mass == 0.0) continue;
-      double out_w = g.OutWeight(u);
-      if (out_w <= 0.0) {
-        // Dangling: the walk stays at u (implicit self-loop).
-        (*next)[u] += (1.0 - opts.alpha) * mass;
-        continue;
-      }
-      double scaled = (1.0 - opts.alpha) * mass / out_w;
-      g.ForEachOutEdge(u, [&](graph::NodeId v, graph::EdgeTypeId, double w) {
-        (*next)[v] += scaled * w;
-      });
-    }
-    double delta = 0.0;
-    for (size_t i = 0; i < n; ++i) delta += std::abs((*next)[i] - (*p)[i]);
-    std::swap(p, next);
-    *result = p;
-    if (delta < opts.power_tolerance) break;
-  }
-
-  EMIGRE_COUNTER("ppr.power.calls").Increment();
-  EMIGRE_COUNTER("ppr.power.iterations").Increment(iterations);
-}
-
 template <graph::GraphLike G>
 std::vector<double> PowerIterationPpr(const G& g, graph::NodeId seed,
                                       const PprOptions& opts = {}) {

@@ -32,15 +32,16 @@ namespace emigre::ppr {
 /// in closed form: the geometric series of self-pushes sums to r/α.
 ///
 /// `result.estimate[s]` ≈ PPR(s, target); `result.residual` carries R(·, t).
+/// Dense state, like `ForwardPush` (see there).
 template <graph::GraphLike G>
 PushResult ReversePush(const G& g, graph::NodeId target,
                        const PprOptions& opts = {}) {
   EMIGRE_SPAN("rlp");
-  EMIGRE_FAULT_POINT("ppr.rlp.legacy");
+  EMIGRE_FAULT_POINT("ppr.rlp");
   const size_t n = g.NumNodes();
   PushResult out;
-  out.estimate.assign(n, 0.0);  // NOLINT(dense-reset): legacy reference path
-  out.residual.assign(n, 0.0);  // NOLINT(dense-reset): legacy reference path
+  out.estimate.assign(n, 0.0);  // NOLINT(dense-reset): dense static push
+  out.residual.assign(n, 0.0);  // NOLINT(dense-reset): dense static push
   if (target >= n) return out;
 
   out.residual[target] = 1.0;

@@ -12,8 +12,6 @@
 
 namespace emigre::ppr {
 
-struct PushResult;
-
 /// \brief A compacted sparse PPR vector: (node, value) pairs sorted by node.
 ///
 /// Local-push results touch O(Σ pushes) nodes, not O(|V|); storing the
@@ -42,6 +40,24 @@ class SparseVector {
     return values_[static_cast<size_t>(it - ids_.begin())];
   }
 
+  /// Compacts the non-zero entries of `dense`. The arrays are sized
+  /// exactly (non-zeros counted first), so a resident cache entry carries
+  /// no slack capacity.
+  static SparseVector FromDense(const std::vector<double>& dense) {
+    size_t nonzeros = 0;
+    for (double v : dense) nonzeros += v != 0.0 ? 1 : 0;
+    std::vector<graph::NodeId> ids(nonzeros);
+    std::vector<double> values(nonzeros);
+    size_t k = 0;
+    for (size_t i = 0; i < dense.size(); ++i) {
+      if (dense[i] == 0.0) continue;
+      ids[k] = static_cast<graph::NodeId>(i);
+      values[k] = dense[i];
+      ++k;
+    }
+    return SparseVector(std::move(ids), std::move(values));
+  }
+
   /// Expands into a dense vector over `n` nodes (zeros elsewhere).
   std::vector<double> ToDense(size_t n) const {
     std::vector<double> out(n, 0.0);
@@ -67,24 +83,26 @@ class SparseVector {
 
 /// \brief Reusable sparse state for local-push computations.
 ///
-/// The legacy push engines zero-fill dense `estimate`/`residual`/`queued`
-/// arrays of size |V| on every call, so a push touching k nodes costs
-/// O(|V| + Σ pushes). The workspace makes the same state reusable at O(k):
+/// The static FIFO pushes (`ForwardPush`/`ReversePush`) zero-fill dense
+/// arrays of size |V| per call — cheap when a push touches most of the
+/// graph, which static pushes at the CLI's ε do. Repairs and the kFast
+/// kernels touch far fewer nodes, so they keep their state here, reusable
+/// at O(k) for a push touching k nodes:
 ///
 ///  - **Epoch-stamped values.** `estimate_`/`residual_` stay dirty between
 ///    calls; a per-node stamp records the epoch that last wrote it. `Begin`
 ///    bumps the epoch (O(1)); the first touch of a node in an epoch lazily
 ///    resets its two values and records it on the touched list.
-///  - **Ring-buffer frontier.** A flat power-of-two ring replaces
-///    `std::deque`, with the same FIFO semantics and an epoch-stamped
-///    "queued" flag per node, so kernels reproduce the legacy push schedule
-///    (and therefore bitwise-identical estimates) without allocation.
+///  - **Ring-buffer frontier.** A flat power-of-two ring with an
+///    epoch-stamped "queued" flag per node. `DynamicForwardPush`'s sparse
+///    refine runs its FIFO schedule on it (through `PushHotView`) without
+///    allocation.
 ///
 /// After warm-up (the arrays reached graph size once), `Begin` performs no
 /// O(|V|) work — `stats().dense_resets` counts the O(|V|) growth events so
 /// benches can assert exactly that.
 ///
-/// A third frontier mode serves the kFast engine: a **bucketed priority
+/// The kFast engine uses the same ring as a **bucketed priority
 /// frontier** (`PriorityPush`/`PriorityPop`) that pops an approximately
 /// highest-residual node first, which converts large mass to estimate
 /// early and lets small residuals converge below threshold without ever
@@ -140,7 +158,7 @@ class PushWorkspace {
     /// O(|V|)-cost array growth/clear events. Stable after warm-up.
     size_t dense_resets = 0;
     /// Total nodes touched across all pushes (the Σ k the sparse reset
-    /// actually paid for, vs. begins * |V| for the legacy dense reset).
+    /// actually paid for, vs. begins * |V| for a dense reset).
     size_t touched_total = 0;
   };
 
@@ -168,20 +186,7 @@ class PushWorkspace {
   const Stats& stats() const { return stats_; }
 
   // --- Epoch-stamped estimate / residual ------------------------------------
-
-  /// Lazily zeroes (estimate, residual) of `v` on first touch this epoch.
-  /// Unlike the `PushHotView` fast path, also records the node's slot (its
-  /// first-touch index) for `SlotOf` — the batched reverse kernel keys its
-  /// per-node column rows off it.
-  void Touch(graph::NodeId v) {
-    if (stamp_[v] != epoch_) {
-      stamp_[v] = epoch_;
-      estimate_[v] = 0.0;
-      residual_[v] = 0.0;
-      slot_[v] = static_cast<uint32_t>(touched_.size());
-      touched_.push_back(v);
-    }
-  }
+  // Written by the kFast kernels through `PushPriorityView`.
 
   double Estimate(graph::NodeId v) const {
     return stamp_[v] == epoch_ ? estimate_[v] : 0.0;
@@ -190,47 +195,20 @@ class PushWorkspace {
     return stamp_[v] == epoch_ ? residual_[v] : 0.0;
   }
 
-  /// Mutable refs for kernels; `Touch(v)` must have run this epoch.
-  double& EstimateRef(graph::NodeId v) { return estimate_[v]; }
-  double& ResidualRef(graph::NodeId v) { return residual_[v]; }
-
   /// Nodes touched this epoch, in first-touch order.
   const std::vector<graph::NodeId>& touched() const { return touched_; }
 
-  /// First-touch index of `v` on the touched list this epoch. Valid only
-  /// after `Touch(v)` ran this epoch through the workspace itself (the
-  /// `PushHotView` fast path skips slot maintenance).
+  /// True when `v` is on `touched()` (touched this epoch).
+  bool Touched(graph::NodeId v) const { return stamp_[v] == epoch_; }
+
+  /// First-touch index of `v` on the touched list this epoch (maintained
+  /// by `PushPriorityView::Touch`/`TouchSlot`).
   uint32_t SlotOf(graph::NodeId v) const { return slot_[v]; }
 
-  // --- FIFO frontier ---------------------------------------------------------
-
-  bool FrontierEmpty() const { return frontier_count_ == 0; }
-
-  /// True when `v` is currently enqueued (this epoch).
+  /// True when `v` is currently in the ring frontier (this epoch).
   bool InFrontier(graph::NodeId v) const {
     return queued_stamp_[v] == epoch_;
   }
-
-  /// Enqueues `v` (caller checks `InFrontier` first, as the legacy engines
-  /// check their `queued` flags).
-  void FrontierPush(graph::NodeId v) {
-    if (frontier_count_ == frontier_buf_.size()) GrowFrontier();
-    frontier_buf_[(frontier_head_ + frontier_count_) &
-                  (frontier_buf_.size() - 1)] = v;
-    ++frontier_count_;
-    queued_stamp_[v] = epoch_;
-  }
-
-  /// Pops the oldest enqueued node and clears its queued flag.
-  graph::NodeId FrontierPop() {
-    graph::NodeId v = frontier_buf_[frontier_head_];
-    frontier_head_ = (frontier_head_ + 1) & (frontier_buf_.size() - 1);
-    --frontier_count_;
-    queued_stamp_[v] = 0;
-    return v;
-  }
-
-  size_t FrontierSize() const { return frontier_count_; }
 
   // --- Priority frontier (kFast) --------------------------------------------
   // Threshold-sweep approximate max-queue over residual magnitudes; see the
@@ -324,10 +302,15 @@ class PushWorkspace {
   // --- Exports ---------------------------------------------------------------
 
   /// Copies the touched entries into a compacted `SparseVector` (estimates
-  /// only), dropping exact zeros. O(k log k) for the id sort.
+  /// only), dropping exact zeros and sized exactly. O(k log k) for the id
+  /// sort.
   SparseVector ExportSparseEstimates() const {
+    size_t nonzeros = 0;
+    for (graph::NodeId v : touched_) {
+      if (estimate_[v] != 0.0) ++nonzeros;
+    }
     std::vector<graph::NodeId> ids;
-    ids.reserve(touched_.size());
+    ids.reserve(nonzeros);
     for (graph::NodeId v : touched_) {
       if (estimate_[v] != 0.0) ids.push_back(v);
     }
@@ -338,10 +321,10 @@ class PushWorkspace {
   }
 
   // --- Dense scratch buffers -------------------------------------------------
-  // Reused storage for the inherently-dense engines (power iteration's two
-  // distribution vectors). The caller owns the contents; the buffer is only
-  // guaranteed to have size `n`, not any particular values. References are
-  // stable across later DenseBuffer calls (buffers are heap-boxed).
+  // Reused storage for the batched reverse kernel's per-column rows. The
+  // caller owns the contents; the buffer is only guaranteed to have size
+  // `n`, not any particular values. References are stable across later
+  // DenseBuffer calls (buffers are heap-boxed).
 
   std::vector<double>& DenseBuffer(size_t slot, size_t n) {
     if (slot >= dense_buffers_.size()) {
@@ -399,6 +382,15 @@ class PushWorkspace {
     return out;
   }
 
+  /// Ring enqueue; the caller checks the queued flag first.
+  void FrontierPush(graph::NodeId v) {
+    if (frontier_count_ == frontier_buf_.size()) GrowFrontier();
+    frontier_buf_[(frontier_head_ + frontier_count_) &
+                  (frontier_buf_.size() - 1)] = v;
+    ++frontier_count_;
+    queued_stamp_[v] = epoch_;
+  }
+
   void GrowFrontier() {
     // Double and linearize: ring contents move to the front of the new
     // buffer in FIFO order.
@@ -436,14 +428,13 @@ class PushWorkspace {
   Stats stats_;
 };
 
-/// \brief Raw-pointer view over a workspace epoch, for kernel hot loops.
+/// \brief Raw-pointer view of a workspace's FIFO ring frontier, for
+/// `DynamicForwardPush`'s sparse refine loop.
 ///
-/// Semantically identical to calling the `PushWorkspace` accessors, but the
-/// array bases, the epoch, and the ring-frontier cursor are loaded ONCE at
+/// The queued-flag base, the epoch and the ring cursor are loaded ONCE at
 /// construction instead of re-read through the workspace reference on every
-/// relaxed edge / frontier operation (the compiler cannot hoist them past
-/// the stores the push loop makes). Worth ~10% on push-dominated
-/// workloads; bitwise-identical results.
+/// relaxed edge (the compiler cannot hoist them past the stores the push
+/// loop makes).
 ///
 /// Construct only after `Begin(n)` sized the arrays for this graph. The
 /// view owns the frontier cursor while alive — do not touch the
@@ -452,12 +443,7 @@ class PushWorkspace {
 class PushHotView {
  public:
   explicit PushHotView(PushWorkspace& ws)
-      : ws_(ws),
-        stamp_(ws.stamp_.data()),
-        queued_(ws.queued_stamp_.data()),
-        estimate_(ws.estimate_.data()),
-        residual_(ws.residual_.data()),
-        epoch_(ws.epoch_) {
+      : ws_(ws), queued_(ws.queued_stamp_.data()), epoch_(ws.epoch_) {
     if (ws.frontier_buf_.empty()) ws.GrowFrontier();
     fbuf_ = ws.frontier_buf_.data();
     fmask_ = ws.frontier_buf_.size() - 1;
@@ -473,22 +459,8 @@ class PushHotView {
   PushHotView(const PushHotView&) = delete;
   PushHotView& operator=(const PushHotView&) = delete;
 
-  /// See PushWorkspace::Touch.
-  void Touch(graph::NodeId v) {
-    if (stamp_[v] != epoch_) {
-      stamp_[v] = epoch_;
-      estimate_[v] = 0.0;
-      residual_[v] = 0.0;
-      ws_.touched_.push_back(v);
-    }
-  }
-
-  double& EstimateRef(graph::NodeId v) { return estimate_[v]; }
-  double& ResidualRef(graph::NodeId v) { return residual_[v]; }
-
   bool InFrontier(graph::NodeId v) const { return queued_[v] == epoch_; }
   bool FrontierEmpty() const { return fcount_ == 0; }
-  size_t FrontierSize() const { return fcount_; }
 
   void FrontierPush(graph::NodeId v) {
     if (fcount_ == fmask_ + 1) {
@@ -514,10 +486,7 @@ class PushHotView {
 
  private:
   PushWorkspace& ws_;
-  uint32_t* stamp_;
   uint32_t* queued_;
-  double* estimate_;
-  double* residual_;
   uint32_t epoch_;
 
   graph::NodeId* fbuf_ = nullptr;  // ring cursor, written back in the dtor
@@ -530,11 +499,11 @@ class PushHotView {
 /// analogue of `PushHotView`.
 ///
 /// Arms the workspace's threshold-sweep priority frontier on construction
-/// and exposes the same Touch/EstimateRef/ResidualRef fast path over raw
-/// array bases, plus the ring cursor (owned while the view is alive,
-/// written back in the destructor). Unlike `PushHotView`, `Touch` also
-/// maintains the per-node slot (first-touch index) — the batched reverse
-/// kernel addresses its column rows by slot.
+/// and exposes a Touch/EstimateRef/ResidualRef fast path over raw array
+/// bases, plus the ring cursor (owned while the view is alive, written back
+/// in the destructor). `Touch` also maintains the per-node slot
+/// (first-touch index) — the batched reverse kernel addresses its column
+/// rows by slot.
 ///
 /// Construct only after `Begin(n)` sized the arrays; one view per epoch,
 /// and do not mix with the FIFO frontier in the same epoch (both share
@@ -570,7 +539,8 @@ class PushPriorityView {
   PushPriorityView(const PushPriorityView&) = delete;
   PushPriorityView& operator=(const PushPriorityView&) = delete;
 
-  /// See PushWorkspace::Touch (slot-maintaining form).
+  /// Lazily zeroes (estimate, residual) of `v` on first touch this epoch
+  /// and records its slot on the touched list.
   void Touch(graph::NodeId v) {
     if (stamp_[v] != epoch_) {
       stamp_[v] = epoch_;
@@ -584,6 +554,18 @@ class PushPriorityView {
   double& EstimateRef(graph::NodeId v) { return estimate_[v]; }
   double& ResidualRef(graph::NodeId v) { return residual_[v]; }
   uint32_t SlotOf(graph::NodeId v) const { return slot_[v]; }
+
+  /// `Touch` for kernels that keep per-node values in their own
+  /// slot-indexed rows (the batched reverse kernel): records the slot and
+  /// returns it, leaving the workspace's estimate/residual of `v` stale.
+  uint32_t TouchSlot(graph::NodeId v) {
+    if (stamp_[v] != epoch_) {
+      stamp_[v] = epoch_;
+      slot_[v] = static_cast<uint32_t>(ws_.touched_.size());
+      ws_.touched_.push_back(v);
+    }
+    return slot_[v];
+  }
 
   /// True while `v` sits in the current round's ring. Callers check this
   /// BEFORE computing the enqueue threshold/cost: a ring-resident node

@@ -8,10 +8,8 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "ppr/forward_push.h"
-#include "ppr/kernels.h"
 #include "ppr/options.h"
 #include "ppr/power_iteration.h"
-#include "ppr/workspace.h"
 #include "recsys/rec_list.h"
 
 namespace emigre::recsys {
@@ -96,75 +94,12 @@ RecommendationList RankItems(const G& g, graph::NodeId user,
   return RecommendationList(std::move(scored));
 }
 
-/// \brief Workspace-backed `RankItems`: identical scores and ranking, but
-/// the PPR scratch state and the interacted-bitmap live in the reusable
-/// `PushWorkspace` instead of per-call allocations. Passing nullptr falls
-/// back to the allocating overload.
-template <graph::GraphLike G>
-RecommendationList RankItems(const G& g, graph::NodeId user,
-                             const RecommenderOptions& opts,
-                             ppr::PushWorkspace* ws) {
-  if (ws == nullptr) return RankItems(g, user, opts);
-  EMIGRE_SPAN("rank");
-  EMIGRE_COUNTER("recsys.rank.calls").Increment();
-  const size_t n = g.NumNodes();
-  std::vector<ScoredItem> scored;
-
-  if (opts.scorer == Scorer::kForwardPush &&
-      opts.ppr.engine != ppr::PushEngine::kLegacy) {
-    // Fully sparse path: scores stay in the workspace (untouched ⇒ 0.0,
-    // exactly as the legacy dense vector starts at 0.0).
-    if (opts.ppr.engine == ppr::PushEngine::kFast) {
-      ppr::ForwardPushKernelFast(g, user, opts.ppr, *ws);
-    } else {
-      ppr::ForwardPushKernel(g, user, opts.ppr, *ws);
-    }
-    g.ForEachOutEdge(user, [&](graph::NodeId dst, graph::EdgeTypeId,
-                               double) { ws->Mark(dst); });
-    for (graph::NodeId v = 0; v < n; ++v) {
-      if (v == user || ws->Marked(v)) continue;
-      if (g.NodeType(v) != opts.item_type) continue;
-      scored.push_back(ScoredItem{v, ws->Estimate(v)});
-    }
-    return RecommendationList(std::move(scored));
-  }
-
-  // Dense scorers: reuse the workspace's dense buffers for the
-  // distribution and its epoch marks for the interacted bitmap.
-  std::vector<double>* scores = nullptr;
-  std::vector<double> legacy_scores;
-  if (opts.scorer == Scorer::kForwardPush) {
-    legacy_scores = ppr::ForwardPush(g, user, opts.ppr).estimate;
-    scores = &legacy_scores;
-  } else {
-    ppr::PowerIterationPprInto(g, user, opts.ppr, *ws, &scores);
-  }
-  ws->Begin(n);
-  g.ForEachOutEdge(user, [&](graph::NodeId dst, graph::EdgeTypeId, double) {
-    ws->Mark(dst);
-  });
-  for (graph::NodeId v = 0; v < n; ++v) {
-    if (v == user || ws->Marked(v)) continue;
-    if (g.NodeType(v) != opts.item_type) continue;
-    scored.push_back(ScoredItem{v, (*scores)[v]});
-  }
-  return RecommendationList(std::move(scored));
-}
-
 /// \brief The top-1 recommendation `rec` for `user` (Eq. 2), or
 /// kInvalidNode when no candidate exists.
 template <graph::GraphLike G>
 graph::NodeId Recommend(const G& g, graph::NodeId user,
                         const RecommenderOptions& opts) {
   return RankItems(g, user, opts).Top();
-}
-
-/// Workspace-backed variant of `Recommend` (see the RankItems overload).
-template <graph::GraphLike G>
-graph::NodeId Recommend(const G& g, graph::NodeId user,
-                        const RecommenderOptions& opts,
-                        ppr::PushWorkspace* ws) {
-  return RankItems(g, user, opts, ws).Top();
 }
 
 }  // namespace emigre::recsys

@@ -98,7 +98,13 @@ std::string FormatDouble(double value, int precision) {
 }
 
 std::string FormatDuration(double seconds) {
-  if (seconds < 0) return "-" + FormatDuration(-seconds);
+  if (seconds < 0) {
+    // Appending (not `"-" + ...`, which inserts into the rvalue) keeps GCC
+    // 12's -Wrestrict false positive out of optimized builds.
+    std::string out = "-";
+    out += FormatDuration(-seconds);
+    return out;
+  }
   if (seconds < 1e-3) return StrFormat("%.1fus", seconds * 1e6);
   if (seconds < 1.0) return StrFormat("%.1fms", seconds * 1e3);
   if (seconds < 120.0) return StrFormat("%.2fs", seconds);

@@ -132,11 +132,11 @@ TEST_F(FaultRegistryTest, EveryFireIsCountedInTheObsRegistry) {
 TEST_F(FaultRegistryTest, ArmFromStringParsesTheCliGrammar) {
   auto& reg = fault::FaultRegistry::Global();
   ASSERT_TRUE(reg
-                  .ArmFromString("site=ppr.flp.kernel,kind=status,nth=2,"
+                  .ArmFromString("site=ppr.flp,kind=status,nth=2,"
                                  "max=1,code=IOError,msg=boom")
                   .ok());
-  EXPECT_TRUE(reg.Check("ppr.flp.kernel").ok());
-  Status fired = reg.Check("ppr.flp.kernel");
+  EXPECT_TRUE(reg.Check("ppr.flp").ok());
+  Status fired = reg.Check("ppr.flp");
   EXPECT_EQ(fired.code(), StatusCode::kIOError);
   EXPECT_EQ(fired.message(), "boom");
   EXPECT_FALSE(reg.ArmFromString("kind=status").ok());       // no site

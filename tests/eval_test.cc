@@ -123,7 +123,7 @@ TEST_F(RunnerTest, ProducesOneRecordPerMethodScenarioPair) {
 TEST_F(RunnerTest, ParallelMatchesSerialOutcomes) {
   std::vector<MethodSpec> methods = {PaperMethods()[0], PaperMethods()[3]};
   Result<ExperimentResult> serial =
-      RunExperiment(rh_.g, scenarios_, methods, opts_, RunnerOptions{1, 0});
+      RunExperiment(rh_.g, scenarios_, methods, opts_, RunnerOptions{});
   RunnerOptions parallel_opts;
   parallel_opts.num_threads = 4;
   Result<ExperimentResult> parallel =
@@ -248,7 +248,7 @@ TEST_F(RunnerTest, NestedTestThreadParallelismMatchesSerial) {
                                      *FindMethod(PaperMethods(),
                                                  "remove_brute")};
   Result<ExperimentResult> serial =
-      RunExperiment(rh_.g, scenarios_, methods, opts_, RunnerOptions{1, 0});
+      RunExperiment(rh_.g, scenarios_, methods, opts_, RunnerOptions{});
   explain::EmigreOptions nested_opts = opts_;
   nested_opts.test_threads = 2;
   RunnerOptions run_opts;

@@ -69,15 +69,14 @@ TEST(AnytimeDegradedTest, SerialAndParallelReturnTheSameDegradedResult) {
   // degraded or not — the anytime candidate is keyed to the serial budget
   // boundary. The candidate enumeration order and the tester verdicts are
   // both engine-independent, so the degraded best-so-far must ALSO be
-  // identical across kLegacy / kKernel / kFast: the cross-engine check
-  // compares every engine's serial result against the legacy baseline.
+  // identical across kKernel / kFast: the cross-engine check compares
+  // kFast's serial result against the kKernel baseline.
   for (Heuristic h : {Heuristic::kIncremental, Heuristic::kPowerset,
                       Heuristic::kExhaustive}) {
     for (size_t max_tests : {1u, 2u, 3u, 5u, 8u}) {
-      std::vector<Result<Explanation>> legacy_results;
+      std::vector<Result<Explanation>> kernel_results;
       for (ppr::PushEngine engine :
-           {ppr::PushEngine::kLegacy, ppr::PushEngine::kKernel,
-            ppr::PushEngine::kFast}) {
+           {ppr::PushEngine::kKernel, ppr::PushEngine::kFast}) {
         explain::EmigreOptions serial = base;
         serial.max_tests = max_tests;
         serial.test_threads = 1;
@@ -100,11 +99,11 @@ TEST(AnytimeDegradedTest, SerialAndParallelReturnTheSameDegradedResult) {
             Result<Explanation> rp =
                 parallel_engine.Explain(q, Mode::kRemove, h);
             ASSERT_EQ(rs.ok(), rp.ok());
-            if (engine == ppr::PushEngine::kLegacy) {
-              legacy_results.push_back(rs);
+            if (engine == ppr::PushEngine::kKernel) {
+              kernel_results.push_back(rs);
             } else {
-              ASSERT_LT(question, legacy_results.size());
-              const Result<Explanation>& rl = legacy_results[question];
+              ASSERT_LT(question, kernel_results.size());
+              const Result<Explanation>& rl = kernel_results[question];
               ASSERT_EQ(rs.ok(), rl.ok());
               if (rs.ok()) ExpectSameExplanation(rs.value(), rl.value());
             }

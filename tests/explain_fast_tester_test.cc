@@ -195,11 +195,10 @@ TEST(FastTesterTest, EqualScoreTieBreaksToLowestIdOnEveryEngine) {
 
   // Adding u->x preserves the A/B symmetry (x is a separate branch), so the
   // counterfactual top is the tied pair and must resolve to A, the lower
-  // id, under all three engines.
+  // id, under both engines.
   std::vector<EdgeRef> add_x = {EdgeRef{u, x, rated}};
   for (ppr::PushEngine engine :
-       {ppr::PushEngine::kLegacy, ppr::PushEngine::kKernel,
-        ppr::PushEngine::kFast}) {
+       {ppr::PushEngine::kKernel, ppr::PushEngine::kFast}) {
     explain::EmigreOptions opts = base_opts;
     opts.rec.ppr.engine = engine;
 

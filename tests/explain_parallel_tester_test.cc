@@ -225,19 +225,16 @@ void ExpectIdenticalExplanations(const graph::HinGraph& g,
       {Mode::kAdd, Heuristic::kPowerset},
   };
   // Whole Explanations must agree across every (push engine × thread count)
-  // combination: the kernel engine replays the legacy push schedule bit for
-  // bit, and kFast — whose priority schedule is NOT bitwise-identical — is
-  // held to the same bar because tester verdicts are schedule-independent
-  // by construction (sub-noise scores floored to 0, exact ties broken by
-  // ascending id). Swapping engines may not change a single accepted
-  // candidate.
+  // combination: kFast — whose priority schedule is NOT bitwise-identical
+  // to the FIFO kernel schedule — is held to the same bar because tester
+  // verdicts are schedule-independent by construction (sub-noise scores
+  // floored to 0, exact ties broken by ascending id). Swapping engines may
+  // not change a single accepted candidate.
   struct Config {
     ppr::PushEngine engine;
     size_t threads;
   };
   const Config configs[] = {
-      {ppr::PushEngine::kLegacy, 1},
-      {ppr::PushEngine::kLegacy, 4},
       {ppr::PushEngine::kKernel, 1},
       {ppr::PushEngine::kKernel, 4},
       {ppr::PushEngine::kFast, 1},
@@ -273,8 +270,8 @@ void ExpectIdenticalExplanations(const graph::HinGraph& g,
         EXPECT_EQ(a->new_rec, b->new_rec);
         EXPECT_EQ(a->failure, b->failure);
         if (configs[i].engine != ppr::PushEngine::kFast) {
-          // Work counters are only bitwise-stable for engines that replay
-          // the legacy schedule; kFast may drop sub-epsilon candidates
+          // Work counters are only bitwise-stable under the FIFO
+          // schedule; kFast may drop sub-epsilon candidates
           // from the search space, so it is held to the semantic fields
           // above but not to the exact candidate count.
           EXPECT_EQ(a->candidates_considered, b->candidates_considered);

@@ -4,7 +4,10 @@
 
 #include <map>
 #include <tuple>
+#include <type_traits>
+#include <vector>
 
+#include "graph/csr.h"
 #include "test_util.h"
 #include "util/rng.h"
 
@@ -36,9 +39,27 @@ Snapshot SnapshotInEdges(const G& g) {
   return snap;
 }
 
-TEST(OverlayTest, TransparentWithoutEdits) {
+// One overlay template serves every base; the suite runs over the heap
+// graph and over the CSR snapshot the testers use.
+template <typename Base>
+class OverlayTest : public ::testing::Test {
+ protected:
+  static Base MakeBase(const HinGraph& g) {
+    if constexpr (std::is_same_v<Base, HinGraph>) {
+      return g;
+    } else {
+      return Base(g);
+    }
+  }
+};
+
+using Bases = ::testing::Types<HinGraph, CsrGraph>;
+TYPED_TEST_SUITE(OverlayTest, Bases);
+
+TYPED_TEST(OverlayTest, TransparentWithoutEdits) {
   test::BookGraph bg = test::MakeBookGraph();
-  GraphOverlay o(bg.g);
+  TypeParam base = TestFixture::MakeBase(bg.g);
+  BasicGraphOverlay<TypeParam> o(base);
   EXPECT_FALSE(o.HasEdits());
   EXPECT_EQ(SnapshotOutEdges(o), SnapshotOutEdges(bg.g));
   EXPECT_EQ(SnapshotInEdges(o), SnapshotInEdges(bg.g));
@@ -46,15 +67,17 @@ TEST(OverlayTest, TransparentWithoutEdits) {
     EXPECT_DOUBLE_EQ(o.OutWeight(n), bg.g.OutWeight(n));
     EXPECT_EQ(o.OutDegree(n), bg.g.OutDegree(n));
     EXPECT_EQ(o.InDegree(n), bg.g.InDegree(n));
+    EXPECT_EQ(o.NodeType(n), bg.g.NodeType(n));
   }
 }
 
-TEST(OverlayTest, RemoveMasksBaseEdge) {
+TYPED_TEST(OverlayTest, RemoveMasksBaseEdge) {
   test::BookGraph bg = test::MakeBookGraph();
-  GraphOverlay o(bg.g);
+  TypeParam base = TestFixture::MakeBase(bg.g);
+  BasicGraphOverlay<TypeParam> o(base);
   ASSERT_TRUE(o.RemoveEdge(bg.paul, bg.candide, bg.rated).ok());
   EXPECT_FALSE(o.HasEdge(bg.paul, bg.candide, bg.rated));
-  EXPECT_TRUE(bg.g.HasEdge(bg.paul, bg.candide, bg.rated));  // base intact
+  EXPECT_TRUE(base.HasEdge(bg.paul, bg.candide, bg.rated));  // base intact
   EXPECT_EQ(o.OutDegree(bg.paul), bg.g.OutDegree(bg.paul) - 1);
   EXPECT_EQ(o.InDegree(bg.candide), bg.g.InDegree(bg.candide) - 1);
   EXPECT_DOUBLE_EQ(o.OutWeight(bg.paul), bg.g.OutWeight(bg.paul) - 1.0);
@@ -63,12 +86,13 @@ TEST(OverlayTest, RemoveMasksBaseEdge) {
   EXPECT_TRUE(o.RemoveEdge(bg.paul, bg.candide, bg.rated).IsNotFound());
 }
 
-TEST(OverlayTest, AddCreatesEdge) {
+TYPED_TEST(OverlayTest, AddCreatesEdge) {
   test::BookGraph bg = test::MakeBookGraph();
-  GraphOverlay o(bg.g);
+  TypeParam base = TestFixture::MakeBase(bg.g);
+  BasicGraphOverlay<TypeParam> o(base);
   ASSERT_TRUE(o.AddEdge(bg.paul, bg.lotr, bg.rated, 1.0).ok());
   EXPECT_TRUE(o.HasEdge(bg.paul, bg.lotr, bg.rated));
-  EXPECT_FALSE(bg.g.HasEdge(bg.paul, bg.lotr));
+  EXPECT_FALSE(base.HasEdge(bg.paul, bg.lotr));
   EXPECT_EQ(o.OutDegree(bg.paul), bg.g.OutDegree(bg.paul) + 1);
   EXPECT_EQ(o.InDegree(bg.lotr), bg.g.InDegree(bg.lotr) + 1);
   EXPECT_DOUBLE_EQ(o.OutWeight(bg.paul), bg.g.OutWeight(bg.paul) + 1.0);
@@ -78,9 +102,10 @@ TEST(OverlayTest, AddCreatesEdge) {
   EXPECT_TRUE(o.AddEdge(bg.paul, bg.candide, bg.rated).IsAlreadyExists());
 }
 
-TEST(OverlayTest, RemoveThenAddRestoresBaseWeight) {
+TYPED_TEST(OverlayTest, RemoveThenAddRestoresBaseWeight) {
   test::BookGraph bg = test::MakeBookGraph();
-  GraphOverlay o(bg.g);
+  TypeParam base = TestFixture::MakeBase(bg.g);
+  BasicGraphOverlay<TypeParam> o(base);
   ASSERT_TRUE(o.RemoveEdge(bg.paul, bg.c_lang, bg.rated).ok());
   ASSERT_TRUE(o.AddEdge(bg.paul, bg.c_lang, bg.rated, 42.0).ok());
   // Un-removal restores the *base* weight, not the requested one.
@@ -90,9 +115,10 @@ TEST(OverlayTest, RemoveThenAddRestoresBaseWeight) {
   EXPECT_EQ(o.NumAdded(), 0u);
 }
 
-TEST(OverlayTest, AddThenRemoveIsNoop) {
+TYPED_TEST(OverlayTest, AddThenRemoveIsNoop) {
   test::BookGraph bg = test::MakeBookGraph();
-  GraphOverlay o(bg.g);
+  TypeParam base = TestFixture::MakeBase(bg.g);
+  BasicGraphOverlay<TypeParam> o(base);
   ASSERT_TRUE(o.AddEdge(bg.paul, bg.lotr, bg.rated).ok());
   ASSERT_TRUE(o.RemoveEdge(bg.paul, bg.lotr, bg.rated).ok());
   EXPECT_FALSE(o.HasEdits());
@@ -100,9 +126,10 @@ TEST(OverlayTest, AddThenRemoveIsNoop) {
   EXPECT_EQ(SnapshotInEdges(o), SnapshotInEdges(bg.g));
 }
 
-TEST(OverlayTest, ClearDropsAllEdits) {
+TYPED_TEST(OverlayTest, ClearDropsAllEdits) {
   test::BookGraph bg = test::MakeBookGraph();
-  GraphOverlay o(bg.g);
+  TypeParam base = TestFixture::MakeBase(bg.g);
+  BasicGraphOverlay<TypeParam> o(base);
   ASSERT_TRUE(o.AddEdge(bg.paul, bg.lotr, bg.rated).ok());
   ASSERT_TRUE(o.RemoveEdge(bg.paul, bg.candide, bg.rated).ok());
   o.Clear();
@@ -110,9 +137,52 @@ TEST(OverlayTest, ClearDropsAllEdits) {
   EXPECT_EQ(SnapshotOutEdges(o), SnapshotOutEdges(bg.g));
 }
 
-TEST(OverlayTest, EditListsAreSorted) {
+TYPED_TEST(OverlayTest, ClearRestoresBaseAndAdjacencyOrder) {
   test::BookGraph bg = test::MakeBookGraph();
-  GraphOverlay o(bg.g);
+  TypeParam base = TestFixture::MakeBase(bg.g);
+  BasicGraphOverlay<TypeParam> o(base);
+
+  auto order_of = [&](NodeId n) {
+    std::vector<NodeId> order;
+    o.ForEachOutEdge(n, [&](NodeId dst, EdgeTypeId, double) {
+      order.push_back(dst);
+    });
+    return order;
+  };
+  std::vector<NodeId> before = order_of(bg.paul);
+
+  ASSERT_TRUE(o.RemoveEdge(bg.paul, bg.candide, bg.rated).ok());
+  ASSERT_TRUE(o.AddEdge(bg.paul, bg.lotr, bg.rated, 1.0).ok());
+  EXPECT_TRUE(o.HasEdits());
+  o.Clear();
+  EXPECT_FALSE(o.HasEdits());
+  EXPECT_EQ(o.NumAdded(), 0u);
+  EXPECT_EQ(o.NumRemoved(), 0u);
+  EXPECT_EQ(SnapshotOutEdges(o), SnapshotOutEdges(bg.g));
+  // The property the testers' per-candidate determinism rests on: after
+  // Clear, edges come back in the ORIGINAL order (a mutated HinGraph would
+  // have moved the re-added edge to the end of the adjacency list).
+  EXPECT_EQ(order_of(bg.paul), before);
+}
+
+TYPED_TEST(OverlayTest, HasEdgeReflectsEdits) {
+  test::BookGraph bg = test::MakeBookGraph();
+  TypeParam base = TestFixture::MakeBase(bg.g);
+  BasicGraphOverlay<TypeParam> o(base);
+  EXPECT_TRUE(o.HasEdge(bg.paul, bg.candide));
+  EXPECT_TRUE(o.HasEdge(bg.paul, bg.candide, bg.rated));
+  ASSERT_TRUE(o.RemoveEdge(bg.paul, bg.candide, bg.rated).ok());
+  EXPECT_FALSE(o.HasEdge(bg.paul, bg.candide));
+  EXPECT_FALSE(o.HasEdge(bg.paul, bg.candide, bg.rated));
+  ASSERT_TRUE(o.AddEdge(bg.paul, bg.lotr, bg.rated, 1.0).ok());
+  EXPECT_TRUE(o.HasEdge(bg.paul, bg.lotr, bg.rated));
+  EXPECT_FALSE(base.HasEdge(bg.paul, bg.lotr));  // base untouched
+}
+
+TYPED_TEST(OverlayTest, EditListsAreSorted) {
+  test::BookGraph bg = test::MakeBookGraph();
+  TypeParam base = TestFixture::MakeBase(bg.g);
+  BasicGraphOverlay<TypeParam> o(base);
   ASSERT_TRUE(o.AddEdge(bg.paul, bg.python, bg.rated).ok());
   ASSERT_TRUE(o.AddEdge(bg.paul, bg.lotr, bg.rated).ok());
   ASSERT_TRUE(o.RemoveEdge(bg.paul, bg.candide, bg.rated).ok());
@@ -124,9 +194,10 @@ TEST(OverlayTest, EditListsAreSorted) {
   EXPECT_EQ(removed[0], (EdgeRef{bg.paul, bg.candide, bg.rated}));
 }
 
-TEST(OverlayTest, RemoveMissingEdgeFails) {
+TYPED_TEST(OverlayTest, RemoveMissingEdgeFails) {
   test::BookGraph bg = test::MakeBookGraph();
-  GraphOverlay o(bg.g);
+  TypeParam base = TestFixture::MakeBase(bg.g);
+  BasicGraphOverlay<TypeParam> o(base);
   EXPECT_TRUE(o.RemoveEdge(bg.paul, bg.lotr, bg.rated).IsNotFound());
   EXPECT_TRUE(o.RemoveEdge(bg.paul, 999, bg.rated).IsInvalidArgument());
   EXPECT_TRUE(o.AddEdge(bg.paul, 999, bg.rated).IsInvalidArgument());
@@ -136,11 +207,12 @@ TEST(OverlayTest, RemoveMissingEdgeFails) {
 
 // Property: a random edit sequence applied to an overlay matches the same
 // sequence applied to a mutable copy of the graph.
-TEST(OverlayTest, RandomEditsMatchMutatedCopy) {
+TYPED_TEST(OverlayTest, RandomEditsMatchMutatedCopy) {
   Rng rng(2024);
   for (int trial = 0; trial < 20; ++trial) {
     test::RandomHin rh = test::MakeRandomHin(rng, 5, 20, 3, 6);
-    GraphOverlay overlay(rh.g);
+    TypeParam base = TestFixture::MakeBase(rh.g);
+    BasicGraphOverlay<TypeParam> overlay(base);
     HinGraph mutated = rh.g;
 
     for (int step = 0; step < 30; ++step) {

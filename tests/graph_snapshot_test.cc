@@ -197,8 +197,7 @@ TEST(CsrSnapshotTest, EngineGridAgreesOnMmapAndHeapBackings) {
                                     bg.alchemist};
   size_t found = 0;
   for (ppr::PushEngine engine :
-       {ppr::PushEngine::kLegacy, ppr::PushEngine::kKernel,
-        ppr::PushEngine::kFast}) {
+       {ppr::PushEngine::kKernel, ppr::PushEngine::kFast}) {
     explain::EmigreOptions opts = base;
     opts.rec.ppr.engine = engine;
     explain::Emigre heap_engine(bg.g, opts);

@@ -367,6 +367,42 @@ TEST(PerfGateTest, LatencyToleranceIsWiderThanCounterTolerance) {
   EXPECT_FALSE(report->pass);
 }
 
+TEST(PerfGateTest, WallClockGaugesAreLatencies) {
+  // A bench gauge named *seconds is a wall-clock time: it takes the latency
+  // tolerance and noise floor, not the counter ones (under which a time
+  // below 16 s was never compared and one above it flaked at 10%).
+  BenchDoc base = MakeBaselineDoc();
+  base.metrics.gauges.push_back({"bench.row.t1.seconds", 9.53});
+  base.metrics.gauges.push_back({"bench.row.fast_seconds", 0.2});
+  BenchDoc cur = base;
+  cur.metrics.gauges[1].value = 16.47;  // +73%: inside a 4.0 latency band
+  PerfGateOptions opts;
+  opts.latency_tol = 4.0;
+  Result<PerfGateReport> report = ComparePerf(base, cur, opts);
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report->pass) << report->Format();
+  for (const PerfGateEntry& e : report->entries) {
+    if (e.metric == "bench.row.t1.seconds" ||
+        e.metric == "bench.row.fast_seconds") {
+      EXPECT_EQ(e.verdict, PerfGateEntry::Verdict::kOk) << e.metric;
+      EXPECT_DOUBLE_EQ(e.tolerance, 4.0) << e.metric;
+    }
+  }
+  // A sub-16 s time is compared, not skipped: 6x breaches the 4.0 band.
+  cur.metrics.gauges[2].value = 1.2;
+  report = ComparePerf(base, cur, opts);
+  ASSERT_TRUE(report.ok());
+  EXPECT_FALSE(report->pass);
+  bool found = false;
+  for (const PerfGateEntry& e : report->entries) {
+    if (e.metric == "bench.row.fast_seconds") {
+      found = true;
+      EXPECT_EQ(e.verdict, PerfGateEntry::Verdict::kRegression);
+    }
+  }
+  EXPECT_TRUE(found);
+}
+
 TEST(PerfGateTest, NoiseFloorSilencesTinySeries) {
   BenchDoc base = MakeBaselineDoc();
   BenchDoc cur = base;
@@ -465,7 +501,7 @@ TEST(PerfGateTest, FloorsAssertAbsoluteMinimumsBelowTheNoiseFloor) {
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report->pass) << report->Format();
 
-  cur.metrics.gauges.back().value = 0.8;  // the kernel got slower than legacy
+  cur.metrics.gauges.back().value = 0.8;  // kFast now slower than dense
   report = ComparePerf(base, cur, opts);
   ASSERT_TRUE(report.ok());
   EXPECT_FALSE(report->pass);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -40,20 +41,51 @@ TEST(ReversePushCacheTest, ReturnsSameValuesAsDirectComputation) {
   }
 }
 
-TEST(ReversePushCacheTest, LegacyAndKernelEnginesAgree) {
-  test::BookGraph bg = test::MakeBookGraph();
-  PprOptions legacy_opts;
-  legacy_opts.engine = PushEngine::kLegacy;
-  PprOptions kernel_opts;
-  kernel_opts.engine = PushEngine::kKernel;
-  ReversePushCache<HinGraph> legacy(bg.g, legacy_opts);
-  ReversePushCache<HinGraph> kernel(bg.g, kernel_opts);
-  for (NodeId target : {bg.harry_potter, bg.python, bg.candide}) {
-    auto a = legacy.Get(target);
-    auto b = kernel.Get(target);
-    EXPECT_EQ(a->ids(), b->ids()) << "target " << target;
-    EXPECT_EQ(a->values(), b->values()) << "target " << target;  // bitwise
+TEST(ReversePushCacheTest, ResidentBytesAreExactEntrySizes) {
+  // Entries carry no slack capacity: the byte accounting (and the resident
+  // memory) is exactly what the stored ids and values need.
+  Rng rng(17);
+  test::RandomHin rh = test::MakeRandomHin(rng, 8, 40, 4, 6);
+  constexpr size_t kCapacity = 8;
+  ReversePushCache<HinGraph> cache(rh.g, PprOptions{}, kCapacity);
+  std::vector<std::shared_ptr<const SparseVector>> filled;
+  for (size_t i = 0; i < 12 && i < rh.items.size(); ++i) {
+    filled.push_back(cache.Get(rh.items[i]));
   }
+  ASSERT_EQ(cache.misses(), filled.size());
+  ASSERT_GT(filled.size(), kCapacity);  // some entries were evicted
+  // No hit reordered the LRU list, so the last kCapacity fills are resident.
+  size_t expected = 0;
+  for (size_t i = filled.size() - kCapacity; i < filled.size(); ++i) {
+    expected += filled[i]->ids().size() * sizeof(NodeId) +
+                filled[i]->values().size() * sizeof(double);
+  }
+  EXPECT_EQ(cache.size(), kCapacity);
+  EXPECT_EQ(cache.bytes(), expected);
+}
+
+TEST(ReversePushCacheTest, KFastEntriesAreExactSize) {
+  // kFast fills carry no slack capacity either: the columns of one shared
+  // batch push and the single-target pushes alike. At a loose ε some
+  // touched nodes keep a zero estimate, which a fill sized by the touched
+  // count would leave as slack.
+  Rng rng(17);
+  test::RandomHin rh = test::MakeRandomHin(rng, 8, 40, 4, 6);
+  PprOptions opts;
+  opts.engine = PushEngine::kFast;
+  opts.epsilon = 0.02;
+  ReversePushCache<HinGraph> cache(rh.g, opts);
+  std::vector<NodeId> targets(rh.items.begin(), rh.items.begin() + 6);
+  std::vector<std::shared_ptr<const SparseVector>> filled =
+      cache.GetBatch(targets);
+  for (size_t i = 6; i < 9; ++i) filled.push_back(cache.Get(rh.items[i]));
+  ASSERT_EQ(cache.misses(), filled.size());
+  size_t expected = 0;
+  for (const auto& v : filled) {
+    expected += v->ids().size() * sizeof(NodeId) +
+                v->values().size() * sizeof(double);
+  }
+  EXPECT_EQ(cache.bytes(), expected);
 }
 
 TEST(ReversePushCacheTest, BytesTrackResidentEntries) {
@@ -241,7 +273,7 @@ TEST(ReversePushCacheTest, GetBatchAccountingMatchesSerialGets) {
 TEST(ReversePushCacheTest, GetBatchColumnsMatchSingleTargetComputation) {
   // A batched kFast column is not bitwise identical to a single-target
   // push, but both are Eq. 4-accurate: per-source estimates agree within
-  // push noise of the legacy dense reverse push.
+  // push noise of the FIFO dense reverse push.
   test::BookGraph bg = test::MakeBookGraph();
   PprOptions opts;
   opts.engine = PushEngine::kFast;
@@ -250,9 +282,7 @@ TEST(ReversePushCacheTest, GetBatchColumnsMatchSingleTargetComputation) {
   std::vector<NodeId> targets = {bg.harry_potter, bg.python, bg.candide};
   auto out = cache.GetBatch(targets);
   for (size_t c = 0; c < targets.size(); ++c) {
-    PprOptions legacy = opts;
-    legacy.engine = PushEngine::kLegacy;
-    std::vector<double> dense = ReversePush(bg.g, targets[c], legacy).estimate;
+    std::vector<double> dense = ReversePush(bg.g, targets[c], opts).estimate;
     for (NodeId s = 0; s < bg.g.NumNodes(); ++s) {
       EXPECT_NEAR(out[c]->Get(s), dense[s], 10.0 * opts.epsilon)
           << "target " << targets[c] << " source " << s;

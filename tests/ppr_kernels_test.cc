@@ -3,11 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "check/invariants.h"
 #include "graph/csr.h"
-#include "graph/csr_overlay.h"
+#include "graph/csr_snapshot.h"
 #include "graph/overlay.h"
 #include "ppr/dynamic.h"
 #include "ppr/forward_push.h"
@@ -20,8 +21,9 @@
 namespace emigre::ppr {
 namespace {
 
+using graph::BasicGraphOverlay;
 using graph::CsrGraph;
-using graph::CsrOverlay;
+using graph::CsrSnapshotView;
 using graph::EdgeTypeId;
 using graph::GraphOverlay;
 using graph::HinGraph;
@@ -50,214 +52,169 @@ TEST(SparseVectorTest, GetAndToDense) {
   EXPECT_EQ(v.ToDense(4).size(), 4u);
   EXPECT_GT(v.MemoryBytes(), 0u);
   EXPECT_TRUE(SparseVector().empty());
+  // FromDense inverts ToDense and keeps only the non-zeros.
+  SparseVector back = SparseVector::FromDense(dense);
+  EXPECT_EQ(back.ids(), v.ids());
+  EXPECT_EQ(back.values(), v.values());
+  EXPECT_TRUE(SparseVector::FromDense({0.0, 0.0}).empty());
 }
 
 // ---------------------------------------------------------------------------
-// Kernel vs. legacy equivalence (bitwise)
+// Backing parity of the dense FIFO loops (bitwise)
 
-// Runs both engines and requires *bitwise* identical estimates/residuals:
-// the kernels replay the exact legacy push schedule and float-op order.
-template <typename G>
-void ExpectForwardBitwiseEqual(const G& g, NodeId source,
-                               const PprOptions& opts, PushWorkspace& ws) {
-  PushResult legacy = ForwardPush(g, source, opts);
-  KernelResult kr = ForwardPushKernel(g, source, opts, ws);
-  PushResult kernel = ExportDensePush(ws, g.NumNodes(), kr.residual_mass);
-  ASSERT_EQ(kernel.estimate.size(), legacy.estimate.size());
-  for (size_t v = 0; v < legacy.estimate.size(); ++v) {
-    ASSERT_EQ(kernel.estimate[v], legacy.estimate[v])
-        << "estimate diverges at node " << v << " (source " << source << ")";
-    ASSERT_EQ(kernel.residual[v], legacy.residual[v])
-        << "residual diverges at node " << v << " (source " << source << ")";
-  }
-  EXPECT_NEAR(kernel.ResidualMass(), legacy.ResidualMass(), 1e-12);
-}
-
-template <typename G>
-void ExpectReverseBitwiseEqual(const G& g, NodeId target,
-                               const PprOptions& opts, PushWorkspace& ws) {
-  PushResult legacy = ReversePush(g, target, opts);
-  KernelResult kr = ReversePushKernel(g, target, opts, ws);
-  PushResult kernel = ExportDensePush(ws, g.NumNodes(), kr.residual_mass);
-  ASSERT_EQ(kernel.estimate.size(), legacy.estimate.size());
-  for (size_t v = 0; v < legacy.estimate.size(); ++v) {
-    ASSERT_EQ(kernel.estimate[v], legacy.estimate[v])
-        << "estimate diverges at node " << v << " (target " << target << ")";
-    ASSERT_EQ(kernel.residual[v], legacy.residual[v])
-        << "residual diverges at node " << v << " (target " << target << ")";
-  }
-  EXPECT_NEAR(kernel.ResidualMass(), legacy.ResidualMass(), 1e-12);
-}
-
-TEST(KernelEquivalenceTest, ForwardMatchesLegacyOnBookGraph) {
-  test::BookGraph bg = test::MakeBookGraph();
-  PprOptions opts;
-  PushWorkspace ws;
-  for (NodeId s = 0; s < bg.g.NumNodes(); ++s) {
-    ExpectForwardBitwiseEqual(bg.g, s, opts, ws);
+// The static pushes read the graph only through the GraphLike interface, so
+// backings that list the same adjacency in the same order must produce
+// bitwise-identical states from every source and toward every target.
+template <typename A, typename B>
+void ExpectSamePushes(const A& ref, const B& g, const PprOptions& opts) {
+  ASSERT_EQ(g.NumNodes(), ref.NumNodes());
+  for (NodeId v = 0; v < ref.NumNodes(); ++v) {
+    PushResult a = ForwardPush(ref, v, opts);
+    PushResult b = ForwardPush(g, v, opts);
+    EXPECT_EQ(a.estimate, b.estimate) << "forward source " << v;
+    EXPECT_EQ(a.residual, b.residual) << "forward source " << v;
+    EXPECT_EQ(a.residual_mass, b.residual_mass) << "forward source " << v;
+    PushResult c = ReversePush(ref, v, opts);
+    PushResult d = ReversePush(g, v, opts);
+    EXPECT_EQ(c.estimate, d.estimate) << "reverse target " << v;
+    EXPECT_EQ(c.residual, d.residual) << "reverse target " << v;
+    EXPECT_EQ(c.residual_mass, d.residual_mass) << "reverse target " << v;
   }
 }
 
-TEST(KernelEquivalenceTest, ReverseMatchesLegacyOnBookGraph) {
-  test::BookGraph bg = test::MakeBookGraph();
-  PprOptions opts;
-  PushWorkspace ws;
-  for (NodeId t = 0; t < bg.g.NumNodes(); ++t) {
-    ExpectReverseBitwiseEqual(bg.g, t, opts, ws);
-  }
-}
-
-TEST(KernelEquivalenceTest, MatchesLegacyOnRandomHins) {
-  Rng rng(7);
-  PushWorkspace ws;  // ONE workspace reused across every graph and source
-  for (int round = 0; round < 4; ++round) {
-    test::RandomHin rh = test::MakeRandomHin(rng, 8, 30, 4, 5);
-    PprOptions opts;
-    opts.epsilon = round % 2 == 0 ? 1e-6 : 1e-4;
-    for (NodeId u : rh.users) ExpectForwardBitwiseEqual(rh.g, u, opts, ws);
-    for (size_t i = 0; i < 5 && i < rh.items.size(); ++i) {
-      ExpectReverseBitwiseEqual(rh.g, rh.items[i], opts, ws);
-    }
-  }
-}
-
-TEST(KernelEquivalenceTest, MatchesLegacyOnCsrSnapshotAndOverlay) {
-  test::BookGraph bg = test::MakeBookGraph();
-  CsrGraph csr(bg.g);
-  PprOptions opts;
-  PushWorkspace ws;
-  // Clean snapshot.
-  for (NodeId s = 0; s < csr.NumNodes(); ++s) {
-    ExpectForwardBitwiseEqual(csr, s, opts, ws);
-    ExpectReverseBitwiseEqual(csr, s, opts, ws);
-  }
-  // Edited overlay: remove one base edge, add one new edge. The reference
-  // is the legacy engine running over the same overlay view.
-  CsrOverlay o(csr);
+// Removes one of Paul's base edges and adds a new edge from Paul.
+template <typename O>
+void ApplyEdits(O& o, const test::BookGraph& bg) {
   ASSERT_TRUE(o.RemoveEdge(bg.paul, bg.candide, bg.rated).ok());
   ASSERT_TRUE(o.AddEdge(bg.paul, bg.lotr, bg.rated, 1.0).ok());
-  for (NodeId s = 0; s < o.NumNodes(); ++s) {
-    ExpectForwardBitwiseEqual(o, s, opts, ws);
-    ExpectReverseBitwiseEqual(o, s, opts, ws);
-  }
 }
 
-TEST(KernelEquivalenceTest, HandlesDanglingNodes) {
-  // A chain into a dangling sink plus an isolated node: the dangling
-  // branches of both kernels (whole-residual conversion forward, geometric
-  // series reverse) must mirror the legacy engines bit for bit.
-  HinGraph g;
-  auto t = g.RegisterNodeType("n");
-  auto e = g.RegisterEdgeType("to");
-  NodeId a = g.AddNode(t), b = g.AddNode(t), sink = g.AddNode(t);
-  NodeId isolated = g.AddNode(t);
-  (void)isolated;
-  ASSERT_TRUE(g.AddEdge(a, b, e, 1.0).ok());
-  ASSERT_TRUE(g.AddEdge(b, sink, e, 2.0).ok());
-  PprOptions opts;
-  PushWorkspace ws;
-  for (NodeId s = 0; s < g.NumNodes(); ++s) {
-    ExpectForwardBitwiseEqual(g, s, opts, ws);
-    ExpectReverseBitwiseEqual(g, s, opts, ws);
-  }
-}
-
-TEST(KernelEquivalenceTest, OutOfRangeSourceReturnsEmptyState) {
+TEST(PushBackingParityTest, DenseLoopsBitwiseEqualAcrossBackings) {
+  // Heap HinGraph vs its CSR snapshot vs the mmap'd snapshot file vs an
+  // overlay over the CSR: the cache and the testers push over the CSR while
+  // the search-space fallbacks push over the caller's graph, so these must
+  // agree bit for bit.
+  Rng rng(7);
   test::BookGraph bg = test::MakeBookGraph();
-  PushWorkspace ws;
-  KernelResult kr = ForwardPushKernel(
-      bg.g, static_cast<NodeId>(bg.g.NumNodes()), PprOptions{}, ws);
-  EXPECT_EQ(kr.pushes, 0u);
-  EXPECT_DOUBLE_EQ(kr.residual_mass, 0.0);
-  EXPECT_TRUE(ws.touched().empty());
+  test::RandomHin rh = test::MakeRandomHin(rng, 8, 30, 4, 5);
+  int round = 0;
+  for (const HinGraph* g : {&bg.g, &rh.g}) {
+    CsrGraph csr(*g);
+    std::string path = test::MakeTempDir("parity") + "/g" +
+                       std::to_string(round++) + ".csr";
+    ASSERT_TRUE(graph::WriteGraphSnapshot(*g, path).ok());
+    auto view = CsrSnapshotView::Load(path);
+    ASSERT_TRUE(view.ok()) << view.status();
+    for (double eps : {1e-6, 1e-4}) {
+      PprOptions opts;
+      opts.epsilon = eps;
+      ExpectSamePushes(*g, csr, opts);
+      ExpectSamePushes(*g, view.value(), opts);
+      ExpectSamePushes(*g, BasicGraphOverlay<CsrGraph>(csr), opts);
+    }
+  }
+
+  // Edited overlays: the same edits over each base give the same effective
+  // graph in the same adjacency order.
+  CsrGraph csr(bg.g);
+  std::string path = test::MakeTempDir("parity") + "/edited.csr";
+  ASSERT_TRUE(graph::WriteGraphSnapshot(bg.g, path).ok());
+  auto view = CsrSnapshotView::Load(path);
+  ASSERT_TRUE(view.ok()) << view.status();
+  GraphOverlay on_heap(bg.g);
+  BasicGraphOverlay<CsrGraph> on_csr(csr);
+  BasicGraphOverlay<CsrSnapshotView> on_mmap(view.value());
+  ApplyEdits(on_heap, bg);
+  ApplyEdits(on_csr, bg);
+  ApplyEdits(on_mmap, bg);
+  PprOptions opts;
+  ExpectSamePushes(on_heap, on_csr, opts);
+  ExpectSamePushes(on_heap, on_mmap, opts);
 }
 
 // ---------------------------------------------------------------------------
-// Ground truth and invariants
-
-TEST(KernelCorrectnessTest, ForwardKernelApproximatesPowerIteration) {
-  test::BookGraph bg = test::MakeBookGraph();
-  PprOptions opts;
-  opts.epsilon = 1e-9;
-  PushWorkspace ws;
-  for (NodeId s : {bg.paul, bg.alice, bg.bob}) {
-    ForwardPushKernel(bg.g, s, opts, ws);
-    std::vector<double> truth = PowerIterationPpr(bg.g, s, opts);
-    for (NodeId v = 0; v < bg.g.NumNodes(); ++v) {
-      EXPECT_NEAR(ws.Estimate(v), truth[v], 1e-5)
-          << "source " << s << " node " << v;
-    }
-  }
-}
-
-TEST(KernelCorrectnessTest, WorkspaceReusedStateSatisfiesInvariants) {
-  // Eq. 3/4 on states read out of a workspace that served many prior
-  // pushes: stale epochs must never leak into the exported state.
-  Rng rng(11);
-  test::RandomHin rh = test::MakeRandomHin(rng, 6, 25, 3, 4);
-  PprOptions opts;
-  PushWorkspace ws;
-  for (int warm = 0; warm < 10; ++warm) {
-    ForwardPushKernel(rh.g, rh.users[warm % rh.users.size()], opts, ws);
-  }
-  for (NodeId u : rh.users) {
-    KernelResult kr = ForwardPushKernel(rh.g, u, opts, ws);
-    PushResult state = ExportDensePush(ws, rh.g.NumNodes(), kr.residual_mass);
-    EXPECT_TRUE(
-        check::ValidateForwardPushInvariant(rh.g, u, state, opts).ok());
-  }
-  for (size_t i = 0; i < 4; ++i) {
-    NodeId t = rh.items[i];
-    KernelResult kr = ReversePushKernel(rh.g, t, opts, ws);
-    PushResult state = ExportDensePush(ws, rh.g.NumNodes(), kr.residual_mass);
-    EXPECT_TRUE(
-        check::ValidateReversePushInvariant(rh.g, t, state, opts).ok());
-  }
-}
+// Workspace reuse
 
 TEST(KernelCorrectnessTest, NoDenseResetsAfterWarmup) {
+  // Sparse FIFO repairs and kFast pushes share one workspace: once its
+  // arrays reached graph size, no later Begin may pay an O(n) clear.
   Rng rng(3);
   test::RandomHin rh = test::MakeRandomHin(rng, 10, 40, 4, 6);
+  CsrGraph csr(rh.g);
+  BasicGraphOverlay<CsrGraph> o(csr);
   PushWorkspace ws;
-  ForwardPushKernel(rh.g, rh.users[0], PprOptions{}, ws);  // warm-up growth
-  size_t resets_after_warmup = ws.stats().dense_resets;
+  ForwardPushKernelFast(csr, rh.users[0], PprOptions{}, ws);  // warm-up growth
+  const size_t resets_after_warmup = ws.stats().dense_resets;
   EXPECT_GE(resets_after_warmup, 1u);
-  for (int i = 0; i < 50; ++i) {
-    ForwardPushKernel(rh.g, rh.users[i % rh.users.size()], PprOptions{}, ws);
-    ReversePushKernel(rh.g, rh.items[i % rh.items.size()], PprOptions{}, ws);
+  const size_t begins_before = ws.stats().begins;
+
+  NodeId user = rh.users[0];
+  for (NodeId u : rh.users) {
+    if (csr.OutDegree(u) > 0) user = u;
+  }
+  ASSERT_GT(csr.OutDegree(user), 0u);
+  std::vector<graph::Edge> row;
+  csr.ForEachOutEdge(user, [&](NodeId dst, EdgeTypeId t, double w) {
+    row.push_back(graph::Edge{dst, t, w});
+  });
+  size_t expected_begins = 0;
+  for (PushEngine engine : {PushEngine::kKernel, PushEngine::kFast}) {
+    PprOptions opts;
+    opts.engine = engine;
+    DynamicForwardPush<BasicGraphOverlay<CsrGraph>> dyn(o, user, opts, &ws);
+    if (engine == PushEngine::kFast) ++expected_begins;  // initial kFast push
+    for (int i = 0; i < 20; ++i) {
+      const graph::Edge& e = row[static_cast<size_t>(i) % row.size()];
+      dyn.BeforeOutEdgeChange(user);
+      ASSERT_TRUE(o.RemoveEdge(user, e.node, e.type).ok());
+      dyn.AfterOutEdgeChange(user);
+      dyn.BeforeOutEdgeChange(user);
+      o.Clear();
+      dyn.AfterOutEdgeChange(user);
+      expected_begins += 2;  // one refine per repair
+    }
+    EXPECT_TRUE(
+        check::ValidateForwardPushInvariant(o, user, dyn.State(), opts).ok());
+  }
+  for (int i = 0; i < 20; ++i) {
+    ForwardPushKernelFast(csr, rh.users[i % rh.users.size()], PprOptions{},
+                          ws);
+    ReversePushKernelFast(csr, rh.items[i % rh.items.size()], PprOptions{},
+                          ws);
+    expected_begins += 2;
   }
   // The tentpole claim: zero O(n) clears once the arrays reached size.
   EXPECT_EQ(ws.stats().dense_resets, resets_after_warmup);
-  EXPECT_EQ(ws.stats().begins, 1u + 100u);
+  EXPECT_EQ(ws.stats().begins - begins_before, expected_begins);
   // And the sparse reset actually paid less than dense would have.
-  EXPECT_LT(ws.stats().touched_total, 101u * rh.g.NumNodes());
+  EXPECT_LT(ws.stats().touched_total, ws.stats().begins * csr.NumNodes());
 }
 
 // ---------------------------------------------------------------------------
 // Dynamic push with workspace
 
-TEST(KernelDynamicTest, SparseRefineMatchesLegacyRefine) {
+TEST(KernelDynamicTest, SparseRefineMatchesDenseRefine) {
   test::BookGraph bg = test::MakeBookGraph();
   PprOptions opts;
-  HinGraph legacy_g = bg.g;
-  HinGraph kernel_g = bg.g;
+  HinGraph dense_g = bg.g;
+  HinGraph sparse_g = bg.g;
   PushWorkspace ws;
-  DynamicForwardPush<HinGraph> legacy(legacy_g, bg.paul, opts);
-  DynamicForwardPush<HinGraph> kernel(kernel_g, bg.paul, opts, &ws);
-  EXPECT_EQ(legacy.Estimates(), kernel.Estimates());
-  EXPECT_EQ(legacy.Residuals(), kernel.Residuals());
+  DynamicForwardPush<HinGraph> dense(dense_g, bg.paul, opts);
+  DynamicForwardPush<HinGraph> sparse(sparse_g, bg.paul, opts, &ws);
+  EXPECT_EQ(dense.Estimates(), sparse.Estimates());
+  EXPECT_EQ(dense.Residuals(), sparse.Residuals());
 
   auto edit_both = [&](auto&& fn) {
-    legacy.BeforeOutEdgeChange(bg.paul);
-    kernel.BeforeOutEdgeChange(bg.paul);
-    fn(legacy_g);
-    fn(kernel_g);
-    legacy.AfterOutEdgeChange(bg.paul);
-    kernel.AfterOutEdgeChange(bg.paul);
-    // Bitwise: the sparse seed set reproduces the legacy scan's schedule.
-    EXPECT_EQ(legacy.Estimates(), kernel.Estimates());
-    EXPECT_EQ(legacy.Residuals(), kernel.Residuals());
-    EXPECT_NEAR(legacy.AbsResidualMass(), kernel.AbsResidualMass(), 1e-12);
+    dense.BeforeOutEdgeChange(bg.paul);
+    sparse.BeforeOutEdgeChange(bg.paul);
+    fn(dense_g);
+    fn(sparse_g);
+    dense.AfterOutEdgeChange(bg.paul);
+    sparse.AfterOutEdgeChange(bg.paul);
+    // Bitwise: the sparse seed set reproduces the dense scan's schedule.
+    EXPECT_EQ(dense.Estimates(), sparse.Estimates());
+    EXPECT_EQ(dense.Residuals(), sparse.Residuals());
+    EXPECT_NEAR(dense.AbsResidualMass(), sparse.AbsResidualMass(), 1e-12);
   };
 
   edit_both([&](HinGraph& g) {
@@ -274,10 +231,10 @@ TEST(KernelDynamicTest, SparseRefineMatchesLegacyRefine) {
 TEST(KernelDynamicTest, OverlayEditCycleKeepsInvariantAndConverges) {
   test::BookGraph bg = test::MakeBookGraph();
   CsrGraph csr(bg.g);
-  CsrOverlay o(csr);
+  BasicGraphOverlay<CsrGraph> o(csr);
   PprOptions opts;
   PushWorkspace ws;
-  DynamicForwardPush<CsrOverlay> dyn(o, bg.paul, opts, &ws);
+  DynamicForwardPush<BasicGraphOverlay<CsrGraph>> dyn(o, bg.paul, opts, &ws);
   std::vector<double> initial = dyn.Estimates();
 
   for (int round = 0; round < 3; ++round) {
@@ -333,10 +290,6 @@ TEST(KernelDeadlineTest, ExpiredDeadlineUnwindsEveryEngine) {
   deadline.Start();
   opts.deadline = &deadline;
   PushWorkspace ws;
-  EXPECT_THROW(ForwardPushKernel(g, rh.users[0], opts, ws),
-               DeadlineExceededError);
-  EXPECT_THROW(ReversePushKernel(g, rh.items[0], opts, ws),
-               DeadlineExceededError);
   EXPECT_THROW(ForwardPushKernelFast(g, rh.users[0], opts, ws),
                DeadlineExceededError);
   EXPECT_THROW(ReversePushKernelFast(g, rh.items[0], opts, ws),
@@ -368,31 +321,33 @@ TEST(KernelDeadlineTest, UnexpiredAndAbsentDeadlinesChangeNothing) {
   test::RandomHin rh = test::MakeRandomHin(rng, 10, 30, 3, 6);
   CsrGraph g(rh.g);
   PprOptions plain;
-  PushWorkspace ws_plain;
-  KernelResult baseline = ForwardPushKernel(g, rh.users[1], plain, ws_plain);
-  PushResult base_dense =
-      ExportDensePush(ws_plain, g.NumNodes(), baseline.residual_mass);
-
   PprOptions guarded = plain;
   Deadline deadline(3600.0);  // generous: never expires within the test
   deadline.Start();
   guarded.deadline = &deadline;
+
+  PushResult base_dense = ForwardPush(g, rh.users[1], plain);
+  PushResult guarded_dense = ForwardPush(g, rh.users[1], guarded);
+  EXPECT_EQ(guarded_dense.estimate, base_dense.estimate);
+  EXPECT_EQ(guarded_dense.residual, base_dense.residual);
+
+  PushWorkspace ws_plain;
   PushWorkspace ws_guarded;
-  KernelResult kr = ForwardPushKernel(g, rh.users[1], guarded, ws_guarded);
-  PushResult guarded_dense =
-      ExportDensePush(ws_guarded, g.NumNodes(), kr.residual_mass);
-  ASSERT_EQ(guarded_dense.estimate.size(), base_dense.estimate.size());
-  for (size_t v = 0; v < base_dense.estimate.size(); ++v) {
-    EXPECT_EQ(guarded_dense.estimate[v], base_dense.estimate[v]);
-    EXPECT_EQ(guarded_dense.residual[v], base_dense.residual[v]);
-  }
+  KernelResult baseline = ForwardPushKernelFast(g, rh.users[1], plain,
+                                                ws_plain);
+  KernelResult kr = ForwardPushKernelFast(g, rh.users[1], guarded,
+                                          ws_guarded);
   EXPECT_EQ(kr.pushes, baseline.pushes);
+  for (NodeId v = 0; v < g.NumNodes(); ++v) {
+    EXPECT_EQ(ws_guarded.Estimate(v), ws_plain.Estimate(v));
+    EXPECT_EQ(ws_guarded.Residual(v), ws_plain.Residual(v));
+  }
 }
 
 // ---------------------------------------------------------------------------
 // kFast: schedule-free priority kernels. The correctness oracle is the
 // Eq. 3 / Eq. 4 residual identity plus the termination threshold — NOT
-// bitwise identity with the legacy schedule (which kFast deliberately
+// bitwise identity with the FIFO schedule (which kFast deliberately
 // abandons for best-residual-first ordering).
 
 TEST(FastKernelTest, ForwardSatisfiesEq3AndTermination) {
@@ -526,6 +481,52 @@ TEST(FastKernelTest, BatchColumnsAgreeWithSingleTargetAndSatisfyEq4) {
   ASSERT_EQ(one.size(), 1u);
   for (NodeId s = 0; s < rh.g.NumNodes(); ++s) {
     EXPECT_NEAR(one[0].Get(s), dense[0].estimate[s], 20.0 * opts.epsilon);
+  }
+}
+
+TEST(FastKernelTest, BatchColumnsAreExactAndEqualOnBothExportPaths) {
+  // The batch compacts its columns in node-id order either by sweeping the
+  // node ids (a push touching a large share of the graph) or by sorting
+  // the touched ids. Appending isolated nodes leaves the traversal as it
+  // was but pushes the touched share under the sweep cut, so both paths
+  // must export the same columns: sorted, zero-free, exactly sized, and
+  // equal to the dense export.
+  Rng rng(67);
+  test::RandomHin rh = test::MakeRandomHin(rng, 10, 30, 3, 6);
+  PprOptions opts;
+  opts.epsilon = 1e-6;
+  std::vector<NodeId> targets = {rh.items[1], rh.items[4], rh.items[9]};
+  PushWorkspace ws;
+  std::vector<PushResult> dense;
+  std::vector<SparseVector> swept =
+      ReversePushBatchKernel(rh.g, targets, opts, ws, nullptr, &dense);
+  ASSERT_GE(ws.touched().size() * 16, rh.g.NumNodes());
+
+  HinGraph padded = rh.g;
+  const size_t base_nodes = padded.NumNodes();
+  while (padded.NumNodes() < 32 * base_nodes) padded.AddNode(rh.item_type);
+  std::vector<SparseVector> sorted =
+      ReversePushBatchKernel(padded, targets, opts, ws);
+  ASSERT_LT(ws.touched().size() * 16, padded.NumNodes());
+
+  ASSERT_EQ(swept.size(), targets.size());
+  ASSERT_EQ(sorted.size(), targets.size());
+  for (size_t c = 0; c < targets.size(); ++c) {
+    const SparseVector& col = swept[c];
+    EXPECT_EQ(col.ids().capacity(), col.ids().size()) << "column " << c;
+    EXPECT_EQ(col.values().capacity(), col.values().size()) << "column " << c;
+    for (size_t i = 0; i < col.size(); ++i) {
+      EXPECT_NE(col.values()[i], 0.0);
+      if (i > 0) {
+        EXPECT_LT(col.ids()[i - 1], col.ids()[i]);
+      }
+    }
+    for (NodeId s = 0; s < base_nodes; ++s) {
+      EXPECT_EQ(col.Get(s), dense[c].estimate[s]);
+    }
+    EXPECT_EQ(sorted[c].ids(), col.ids()) << "column " << c;
+    EXPECT_EQ(sorted[c].values(), col.values()) << "column " << c;
+    EXPECT_EQ(sorted[c].ids().capacity(), sorted[c].ids().size());
   }
 }
 

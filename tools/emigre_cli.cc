@@ -110,19 +110,17 @@ void AddObsFlags(FlagParser* parser) {
 }
 
 /// Push-engine selection shared by the query subcommands. `fast` gives up
-/// bitwise replay against the other two engines for throughput on
+/// bitwise replay against the FIFO `kernel` schedule for throughput on
 /// push-bound rows (docs/performance.md has the contract).
 void AddEngineFlag(FlagParser* parser) {
-  parser->AddFlag("push-engine", "PPR push schedule: legacy | kernel | fast",
+  parser->AddFlag("push-engine", "PPR push schedule: kernel | fast",
                   "kernel");
 }
 
 Status ApplyEngineFlag(const FlagParser& parser,
                        explain::EmigreOptions* opts) {
   std::string name = parser.GetString("push-engine").ValueOrDie();
-  if (name == "legacy") {
-    opts->rec.ppr.engine = ppr::PushEngine::kLegacy;
-  } else if (name == "kernel") {
+  if (name == "kernel") {
     opts->rec.ppr.engine = ppr::PushEngine::kKernel;
   } else if (name == "fast") {
     opts->rec.ppr.engine = ppr::PushEngine::kFast;

@@ -31,6 +31,10 @@ Rules (each can be suppressed per line with a trailing `NOLINT` or
                    fine — cached-handle call sites), so the perf gate's
                    flattened series and the trace tree each name one code
                    location (docs/observability.md).
+  metric-catalog   every literal EMIGRE_COUNTER / EMIGRE_GAUGE /
+                   EMIGRE_HISTOGRAM name in src/ has an entry in the
+                   metric catalog table of docs/observability.md, so the
+                   documented catalog covers every registered metric.
   ondisk-assert    every struct named *OnDisk in src/ (the serialized
                    layouts of emigre.bin.v1 / emigre.csr.v1,
                    docs/data_format.md) is static_assert-ed on exact
@@ -70,6 +74,7 @@ RULES = (
     "dense-reset",
     "fault-site",
     "obs-name",
+    "metric-catalog",
     "ondisk-assert",
     "guarded-by",
 )
@@ -332,7 +337,9 @@ def check_obs_names(relpath, stripped_lines, raw_lines, violations,
     dotted ([a-z0-9_./]+) and must be declared in exactly one file. Repeats
     inside one file are normal (cached-handle call sites); the same name in
     a second file would silently merge two series. `seen_names` maps
-    name -> (path, line) across every file of the run."""
+    name -> (path, line, kind, catalog_exempt) across every file of the
+    run; catalog_exempt records NOLINT(metric-catalog) on the declaring
+    line for check_metric_catalog."""
     for idx, line in enumerate(raw_lines):
         if is_suppressed(line, "obs-name"):
             continue
@@ -359,7 +366,8 @@ def check_obs_names(relpath, stripped_lines, raw_lines, violations,
                     f"{prev[0]}:{prev[1]}; a name must live in exactly one "
                     f"file"))
             elif prev is None:
-                seen_names[name] = (relpath, idx + 1)
+                seen_names[name] = (relpath, idx + 1, kind,
+                                     is_suppressed(line, "metric-catalog"))
 
 
 # A definition (not a forward declaration, not a use) of an on-disk layout
@@ -541,6 +549,49 @@ def check_fault_catalog(root, seen_sites, violations):
                 f"src/; remove the stale entry or re-add the site"))
 
 
+CATALOG_DOC = "docs/observability.md"
+CATALOG_HEADING = "## Metric catalog"
+CATALOG_NAME_RE = re.compile(r"`([a-z0-9_./]+)`")
+
+
+def catalog_names(text):
+    """Names in the first column of the metric catalog table: the section
+    under CATALOG_HEADING, up to the next `## ` heading."""
+    names = set()
+    in_section = False
+    for line in text.split("\n"):
+        if line.startswith("## "):
+            in_section = line.strip() == CATALOG_HEADING
+            continue
+        if in_section and line.startswith("|"):
+            cells = line.split("|")
+            if len(cells) > 1:
+                names.update(CATALOG_NAME_RE.findall(cells[1]))
+    return names
+
+
+def check_metric_catalog(root, seen_obs_names, violations):
+    """Every metric a src/ file registers by literal name must have an
+    exact entry in the catalog table of docs/observability.md, so a reader
+    of the catalog sees every series a trace or bench document can carry.
+    Spans are not metrics and are exempt; a deliberate omission carries
+    NOLINT(metric-catalog) on the declaring line."""
+    try:
+        with open(os.path.join(root, CATALOG_DOC), encoding="utf-8") as f:
+            documented = catalog_names(f.read())
+    except OSError:
+        return  # partial trees (self-test fixtures) simply have no catalog
+    for name, (path, line, kind, exempt) in sorted(seen_obs_names.items()):
+        if kind == "SPAN" or not path.startswith("src/") or exempt:
+            continue
+        if name in documented:
+            continue
+        violations.append(Violation(
+            path, line, "metric-catalog",
+            f'EMIGRE_{kind} "{name}" has no entry in the metric catalog of '
+            f"{CATALOG_DOC}; document it (name, kind, unit, meaning)"))
+
+
 def check_bench_metrics(relpath, text, violations):
     name = os.path.basename(relpath)
     m = re.match(r"bench_(\w+)\.cc$", name)
@@ -631,6 +682,7 @@ def run_lint(root, paths):
             lint_file(root, rel, seen_fault_sites, seen_obs_names))
     if not paths:
         check_fault_catalog(root, seen_fault_sites, violations)
+        check_metric_catalog(root, seen_obs_names, violations)
     for v in violations:
         print(v)
     if violations:
@@ -764,6 +816,48 @@ def self_test_fault_catalog():
     return failures
 
 
+def self_test_metric_catalog():
+    """A src/ metric missing from the catalog table fires; a documented one,
+    a span, and a NOLINT(metric-catalog) declaration do not."""
+    failures = 0
+    doc = ("# Observability\n\n## Metric catalog\n\n"
+           "| name | kind | unit | meaning |\n|---|---|---|---|\n"
+           "| `known.calls` / `known.pushes` | counter | calls | known |\n"
+           "\n## Elsewhere\n\nMentions `prose.only` outside the table.\n")
+    src = ('void F() {\n'
+           '  EMIGRE_COUNTER("known.calls").Increment();\n'
+           '  EMIGRE_GAUGE("ghost.depth").Set(1.0);\n'
+           '  EMIGRE_COUNTER("prose.only").Increment();\n'
+           '  EMIGRE_SPAN("some.span");\n'
+           '  EMIGRE_COUNTER("quiet.count").Increment();'
+           '  // NOLINT(metric-catalog)\n'
+           '}\n')
+    with tempfile.TemporaryDirectory() as tmp:
+        os.makedirs(os.path.join(tmp, "docs"), exist_ok=True)
+        os.makedirs(os.path.join(tmp, "src/obs"), exist_ok=True)
+        with open(os.path.join(tmp, CATALOG_DOC), "w",
+                  encoding="utf-8") as f:
+            f.write(doc)
+        with open(os.path.join(tmp, "src/obs/user.cc"), "w",
+                  encoding="utf-8") as f:
+            f.write(src)
+        violations = []
+        seen = {}
+        for rel in collect_files(tmp, []):
+            lint_file(tmp, rel, {}, seen)
+        check_metric_catalog(tmp, seen, violations)
+        fired = sorted(v.message.split('"')[1] for v in violations
+                       if v.rule == "metric-catalog")
+        if fired != ["ghost.depth", "prose.only"]:
+            print("SELF-TEST FAIL: metric-catalog flagged "
+                  f"{fired}, expected ['ghost.depth', 'prose.only']")
+            failures += 1
+    if not failures:
+        print("self-test ok: metric-catalog fired on undocumented names "
+              "only")
+    return failures
+
+
 def self_test():
     failures = 0
     for rule, (relpath, content) in SEEDED.items():
@@ -797,6 +891,7 @@ def self_test():
                       f"{violations[0]}")
                 failures += 1
     failures += self_test_fault_catalog()
+    failures += self_test_metric_catalog()
     with tempfile.TemporaryDirectory() as tmp:
         relpath, content = CLEAN_FILE
         full = os.path.join(tmp, relpath)
