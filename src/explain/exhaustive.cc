@@ -66,13 +66,9 @@ Explanation RunExhaustive(const G& g, const SearchSpace& space,
   }
 
   // PPR(·, t) per target. The rec column was already computed during the
-  // search-space phase; reuse it. Targets the cache must still compute go
-  // through one `GetBatch` call so the kFast engine resolves every miss in
-  // a single shared batched traversal.
+  // search-space phase; reuse it.
   const size_t num_targets = t_list.size();
   std::vector<std::vector<double>> ppr_to_t(num_targets);
-  std::vector<size_t> cached_idx;
-  std::vector<NodeId> cached_targets;
   for (size_t ti = 0; ti < num_targets; ++ti) {
     if (t_list[ti] == space.rec && !space.ppr_to_rec.empty()) {
       ppr_to_t[ti] = space.ppr_to_rec;
@@ -80,16 +76,9 @@ Explanation RunExhaustive(const G& g, const SearchSpace& space,
                !g.IsValidNode(t_list[ti])) {
       ppr_to_t[ti].assign(g.NumNodes(), 0.0);
     } else if (cache != nullptr) {
-      cached_idx.push_back(ti);
-      cached_targets.push_back(t_list[ti]);
+      ppr_to_t[ti] = cache->Get(t_list[ti])->ToDense(g.NumNodes());
     } else {
       ppr_to_t[ti] = ppr::ReversePush(g, t_list[ti], opts.rec.ppr).estimate;
-    }
-  }
-  if (!cached_targets.empty()) {
-    auto columns = cache->GetBatch(cached_targets);
-    for (size_t k = 0; k < cached_idx.size(); ++k) {
-      ppr_to_t[cached_idx[k]] = columns[k]->ToDense(g.NumNodes());
     }
   }
 

@@ -15,8 +15,8 @@ namespace emigre::explain {
 
 namespace detail {
 
-/// Deterministic argmax shared by every engine: score descending, id
-/// ascending on ties, with sub-noise scores floored to zero.
+/// Deterministic argmax: score descending, id ascending on ties, with
+/// sub-noise scores floored to zero.
 ///
 /// Signed-residual repairs can leave O(ε)-sized positive estimates on nodes
 /// whose true score is exactly zero; the exact tester breaks such all-zero
@@ -25,9 +25,8 @@ namespace detail {
 ///
 /// The `item < best` comparison is the enforced index-ascending tie-break
 /// of the class contract: on exactly equal scores the lowest item id wins
-/// no matter what order `items` arrives in or which push schedule produced
-/// the scores, so kKernel and kFast agree on exact ties by construction
-/// rather than by touch order.
+/// no matter what order `items` arrives in, by construction rather than by
+/// touch order.
 template <typename Eligible, typename Score>
 graph::NodeId BestItem(const std::vector<graph::NodeId>& items,
                        graph::NodeId user, double floor, Eligible&& eligible,
@@ -68,9 +67,6 @@ graph::NodeId BestItem(const std::vector<graph::NodeId>& items,
 /// reusable `PushWorkspace` (O(row + pushes) per TEST), and the
 /// eligible-item filter uses the workspace's epoch marks. `Clear()`-based
 /// reverts keep the adjacency iteration order fixed across candidates.
-/// `PprOptions::engine` picks the repair schedule: FIFO (`kKernel`) or
-/// highest-|residual|-first on the priority frontier (`kFast`; not bitwise
-/// identical to FIFO, Eq. 3 bounds the divergence to push noise).
 ///
 /// The estimates are ε-accurate rather than exact: two items whose true
 /// scores differ by less than ~ε may be mis-ordered, so a verification can
@@ -80,11 +76,8 @@ graph::NodeId BestItem(const std::vector<graph::NodeId>& items,
 ///
 /// Tie-breaking contract: `CurrentTop` ranks by (score descending, node id
 /// ascending) with sub-noise scores floored to zero, so EXACT ties resolve
-/// to the lowest item id under both schedules — the ordering never depends
-/// on touch order, adjacency order, or the push schedule. This is what
-/// keeps kKernel/kFast verdicts identical on crafted equal-score items even
-/// though kFast's float noise pattern differs (see
-/// explain_fast_tester_test.cc).
+/// to the lowest item id — the ordering never depends on touch order or
+/// adjacency order (see explain_fast_tester_test.cc).
 template <typename G>
 class FastExplanationTesterT : public TesterInterface {
   using Overlay = graph::BasicGraphOverlay<graph::CsrGraph>;

@@ -45,26 +45,6 @@ std::vector<double> PprTo(const G& g, NodeId target, const EmigreOptions& opts,
   return ppr::ReversePush(g, target, opts.rec.ppr).estimate;
 }
 
-/// Fetches PPR(·, wni) and PPR(·, rec) together. With a cache both columns
-/// resolve through one `GetBatch` call, so a kFast engine computes the two
-/// reverse pushes in a single shared traversal; otherwise this degrades to
-/// the two independent `PprTo` fetches.
-template <typename G>
-void PprToPair(const G& g, NodeId wni, NodeId rec, const EmigreOptions& opts,
-               ppr::ReversePushCache<graph::CsrGraph>* cache,
-               std::vector<double>* to_wni, std::vector<double>* to_rec) {
-  bool wni_valid = wni != graph::kInvalidNode && g.IsValidNode(wni);
-  bool rec_valid = rec != graph::kInvalidNode && g.IsValidNode(rec);
-  if (cache != nullptr && wni_valid && rec_valid) {
-    auto columns = cache->GetBatch({wni, rec});
-    *to_wni = columns[0]->ToDense(g.NumNodes());
-    *to_rec = columns[1]->ToDense(g.NumNodes());
-    return;
-  }
-  *to_wni = PprTo(g, wni, opts, cache);
-  *to_rec = PprTo(g, rec, opts, cache);
-}
-
 void SortByContributionDesc(std::vector<CandidateAction>* actions) {
   std::sort(actions->begin(), actions->end(),
             [](const CandidateAction& a, const CandidateAction& b) {
@@ -104,9 +84,10 @@ Result<SearchSpace> BuildRemoveSearchSpace(
   space.user = user;
   space.rec = rec;
   space.wni = wni;
-  // PPR(·, rec) and PPR(·, WNI) — one batched fetch; rec may be absent
-  // (empty initial recommendation list), in which case its vector is zero.
-  PprToPair(g, wni, rec, opts, cache, &space.ppr_to_wni, &space.ppr_to_rec);
+  // PPR(·, WNI) and PPR(·, rec); rec may be absent (empty initial
+  // recommendation list), in which case its vector is zero.
+  space.ppr_to_wni = PprTo(g, wni, opts, cache);
+  space.ppr_to_rec = PprTo(g, rec, opts, cache);
 
   g.ForEachOutEdge(user, [&](NodeId dst, graph::EdgeTypeId type, double w) {
     if (dst == user || !opts.IsAllowedEdgeType(type)) return;
@@ -139,7 +120,8 @@ Result<SearchSpace> BuildAddSearchSpace(
   space.user = user;
   space.rec = rec;
   space.wni = wni;
-  PprToPair(g, wni, rec, opts, cache, &space.ppr_to_wni, &space.ppr_to_rec);
+  space.ppr_to_wni = PprTo(g, wni, opts, cache);
+  space.ppr_to_rec = PprTo(g, rec, opts, cache);
   space.tau = ComputeTau(g, user, space.ppr_to_rec, space.ppr_to_wni, opts);
 
   // Candidate endpoints: the Reverse-Local-Push frontier of WNI — nodes

@@ -1,7 +1,6 @@
 #ifndef EMIGRE_PPR_CACHE_H_
 #define EMIGRE_PPR_CACHE_H_
 
-#include <algorithm>
 #include <list>
 #include <memory>
 #include <unordered_map>
@@ -11,7 +10,6 @@
 #include "graph/traits.h"
 #include "graph/types.h"
 #include "obs/metrics.h"
-#include "ppr/kernels.h"
 #include "ppr/options.h"
 #include "ppr/reverse_push.h"
 #include "ppr/workspace.h"
@@ -29,19 +27,17 @@ namespace emigre::ppr {
 /// immutable graph those vectors are identical across calls; this cache
 /// shares them.
 ///
-/// Entries are **sparse** (`SparseVector`, dirty-list compaction of the
-/// push workspace): a reverse push touches O(Σ pushes) sources, so a dense
-/// |V|-sized vector per target wastes memory linear in graph size. Resident
-/// bytes are tracked in the `ppr.cache.bytes` gauge. Entries are
+/// Entries are **sparse** (`SparseVector`): a reverse push touches
+/// O(Σ pushes) sources, so a dense |V|-sized vector per target wastes
+/// memory linear in graph size. Resident bytes are tracked in the
+/// `ppr.cache.bytes` gauge. Entries are
 /// `shared_ptr<const SparseVector>` so a caller may keep using one after it
 /// is evicted. The cache must only be used while the underlying graph is
 /// unchanged — the owner (e.g. `explain::Emigre`) guarantees that by
 /// construction.
 ///
 /// A miss runs the dense `ReversePush` and compacts its estimates into an
-/// exactly-sized entry. Under `PushEngine::kFast` it runs the priority (or
-/// batched) kernels instead, on reusable `PushWorkspace`s drawn from an
-/// internal pool (one in flight per concurrently-missing thread).
+/// exactly-sized entry.
 template <graph::GraphLike G>
 class ReversePushCache {
  public:
@@ -87,80 +83,6 @@ class ReversePushCache {
     InstallLocked(target, vector);
     EMIGRE_GAUGE("ppr.cache.bytes").Set(static_cast<double>(bytes_));
     return vector;
-  }
-
-  /// Batched `Get`: resolves every target of `targets`, computing all the
-  /// misses together — with ONE shared `ReversePushBatchKernel` traversal
-  /// when the kFast engine is selected and more than one target misses
-  /// (per-target `Compute` otherwise).
-  ///
-  /// Accounting is serial-Get-equivalent: each position of `targets` is
-  /// exactly one hit / miss / race. A unique missing target counts one
-  /// miss even when its column came from a batch push (no double-counted
-  /// misses); a duplicate of a missing target behaves like the follow-up
-  /// Get it replaces (a hit); a batch column that loses the install race
-  /// to a concurrent filler counts as a race and is discarded. Installed
-  /// batch entries flow through the same LRU/bytes bookkeeping as single
-  /// fills, so `bytes()` and the `ppr.cache.bytes` gauge account them.
-  std::vector<std::shared_ptr<const SparseVector>> GetBatch(
-      const std::vector<graph::NodeId>& targets) {
-    std::vector<std::shared_ptr<const SparseVector>> out(targets.size());
-    {
-      util::MutexLock lock(&mutex_);
-      for (size_t i = 0; i < targets.size(); ++i) {
-        auto it = index_.find(targets[i]);
-        if (it == index_.end()) continue;
-        lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-        ++hits_;
-        EMIGRE_COUNTER("ppr.cache.hits").Increment();
-        out[i] = it->second.vector;
-      }
-    }
-    // Unique missing targets, first-occurrence order (deterministic batch
-    // column layout regardless of duplicates).
-    std::vector<graph::NodeId> missing;
-    for (size_t i = 0; i < targets.size(); ++i) {
-      if (out[i] == nullptr &&
-          std::find(missing.begin(), missing.end(), targets[i]) ==
-              missing.end()) {
-        missing.push_back(targets[i]);
-      }
-    }
-    if (missing.empty()) return out;
-    std::vector<std::shared_ptr<const SparseVector>> computed =
-        ComputeBatch(missing);
-
-    util::MutexLock lock(&mutex_);
-    std::unordered_map<graph::NodeId, std::shared_ptr<const SparseVector>>
-        resolved;
-    for (size_t m = 0; m < missing.size(); ++m) {
-      graph::NodeId t = missing[m];
-      auto it = index_.find(t);
-      if (it != index_.end()) {
-        // Lost the install race for this column (first writer wins).
-        ++races_;
-        EMIGRE_COUNTER("ppr.cache.race").Increment();
-        resolved[t] = it->second.vector;
-        continue;
-      }
-      ++misses_;
-      EMIGRE_COUNTER("ppr.cache.misses").Increment();
-      InstallLocked(t, computed[m]);
-      resolved[t] = computed[m];
-    }
-    EMIGRE_GAUGE("ppr.cache.bytes").Set(static_cast<double>(bytes_));
-    std::unordered_map<graph::NodeId, bool> first_filled;
-    for (size_t i = 0; i < targets.size(); ++i) {
-      if (out[i] != nullptr) continue;
-      out[i] = resolved[targets[i]];
-      if (!first_filled.emplace(targets[i], true).second) {
-        // Second and later occurrences of a missing target: the serial
-        // equivalent is a follow-up Get, which would hit.
-        ++hits_;
-        EMIGRE_COUNTER("ppr.cache.hits").Increment();
-      }
-    }
-    return out;
   }
 
   /// Diagnostics.
@@ -222,57 +144,12 @@ class ReversePushCache {
     }
   }
 
-  /// Runs the reverse push through the configured engine and compacts the
-  /// estimates. Thread-safe (workspaces come from the pool).
+  /// Runs the reverse push and compacts the estimates. Thread-safe (the
+  /// push state is local to the call).
   std::shared_ptr<const SparseVector> Compute(graph::NodeId target) {
     EMIGRE_FAULT_POINT("ppr.cache.fill");
-    if (opts_.engine == PushEngine::kFast) {
-      std::unique_ptr<PushWorkspace> ws = AcquireWorkspace();
-      ReversePushKernelFast(*g_, target, opts_, *ws);
-      auto vector =
-          std::make_shared<const SparseVector>(ws->ExportSparseEstimates());
-      ReleaseWorkspace(std::move(ws));
-      return vector;
-    }
     return std::make_shared<const SparseVector>(
         SparseVector::FromDense(ReversePush(*g_, target, opts_).estimate));
-  }
-
-  /// Computes the columns for `targets` (unique, caller-deduped): one
-  /// shared batched traversal under kFast with 2+ targets, per-target
-  /// pushes otherwise.
-  std::vector<std::shared_ptr<const SparseVector>> ComputeBatch(
-      const std::vector<graph::NodeId>& targets) {
-    std::vector<std::shared_ptr<const SparseVector>> out;
-    out.reserve(targets.size());
-    if (opts_.engine == PushEngine::kFast && targets.size() > 1) {
-      EMIGRE_FAULT_POINT("ppr.cache.fill.batch");
-      std::unique_ptr<PushWorkspace> ws = AcquireWorkspace();
-      std::vector<SparseVector> columns =
-          ReversePushBatchKernel(*g_, targets, opts_, *ws);
-      ReleaseWorkspace(std::move(ws));
-      for (SparseVector& column : columns) {
-        out.push_back(
-            std::make_shared<const SparseVector>(std::move(column)));
-      }
-      return out;
-    }
-    for (graph::NodeId t : targets) out.push_back(Compute(t));
-    return out;
-  }
-
-  std::unique_ptr<PushWorkspace> AcquireWorkspace() {
-    util::MutexLock lock(&pool_mutex_);
-    if (!pool_.empty()) {
-      std::unique_ptr<PushWorkspace> ws = std::move(pool_.back());
-      pool_.pop_back();
-      return ws;
-    }
-    return std::make_unique<PushWorkspace>();
-  }
-  void ReleaseWorkspace(std::unique_ptr<PushWorkspace> ws) {
-    util::MutexLock lock(&pool_mutex_);
-    pool_.push_back(std::move(ws));
   }
 
   // Immutable after construction; read lock-free by the fill paths.
@@ -287,11 +164,6 @@ class ReversePushCache {
   size_t misses_ GUARDED_BY(mutex_) = 0;
   size_t races_ GUARDED_BY(mutex_) = 0;
   size_t bytes_ GUARDED_BY(mutex_) = 0;
-
-  // Workspace pool has its own lock so slow fills never serialize behind
-  // index lookups. Never held together with `mutex_`.
-  util::Mutex pool_mutex_;
-  std::vector<std::unique_ptr<PushWorkspace>> pool_ GUARDED_BY(pool_mutex_);
 };
 
 }  // namespace emigre::ppr

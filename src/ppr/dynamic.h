@@ -13,7 +13,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "ppr/forward_push.h"
-#include "ppr/kernels.h"
 #include "ppr/options.h"
 #include "ppr/workspace.h"
 #include "util/timer.h"
@@ -47,8 +46,6 @@ namespace emigre::ppr {
 ///    exceed it — the seed sets (and therefore the push schedules, and
 ///    therefore the floating-point results) of the two loops are
 ///    identical.
-/// Under `PushEngine::kFast` a workspace-backed instance refines on the
-/// priority frontier instead (`RefineSparseFast`).
 ///
 /// Usage: construct over a mutable graph view, then for each edit call
 /// `BeforeOutEdgeChange(u)`, mutate the graph, call `AfterOutEdgeChange(u)`.
@@ -64,14 +61,11 @@ class DynamicForwardPush {
   DynamicForwardPush(const G& g, graph::NodeId source,
                      const PprOptions& opts = {},
                      PushWorkspace* workspace = nullptr)
-      : g_(&g), source_(source), opts_(opts), ws_(workspace) {
-    if (ws_ != nullptr && opts.engine == PushEngine::kFast) {
-      KernelResult init = ForwardPushKernelFast(g, source, opts, *ws_);
-      state_ = ExportDensePush(*ws_, g.NumNodes(), init.residual_mass);
-    } else {
-      state_ = ForwardPush(g, source, opts);
-    }
-  }
+      : g_(&g),
+        source_(source),
+        opts_(opts),
+        ws_(workspace),
+        state_(ForwardPush(g, source, opts)) {}
 
   /// Snapshots the transition row of `u` ahead of an out-edge mutation.
   void BeforeOutEdgeChange(graph::NodeId u) {
@@ -120,11 +114,7 @@ class DynamicForwardPush {
     pending_row_.clear();
     pending_node_ = graph::kInvalidNode;
     if (ws_ != nullptr) {
-      if (opts_.engine == PushEngine::kFast) {
-        RefineSparseFast();
-      } else {
-        RefineSparse();
-      }
+      RefineSparse();
     } else {
       Refine();
     }
@@ -193,7 +183,7 @@ class DynamicForwardPush {
     return opts_.epsilon * static_cast<double>(deg > 0 ? deg : 1);
   }
 
-  /// Shared push body of both refine engines: converts the signed residual
+  /// Shared push body of both refine loops: converts the signed residual
   /// of `u` into estimate and spreads the remainder. `enqueue(v)` is called
   /// for every neighbor whose residual changed.
   template <typename EnqueueFn>
@@ -273,45 +263,6 @@ class DynamicForwardPush {
       }
     }
     EMIGRE_COUNTER("ppr.dyn.refine_pushes").Increment(pushes);
-  }
-
-  /// The priority-key cost of pushing `v`: the out-edges the push scans.
-  /// `Threshold(v) == opts_.epsilon * Cost(v)` by construction.
-  double Cost(graph::NodeId v) const {
-    size_t deg = g_->OutDegree(v);
-    return static_cast<double>(deg > 0 ? deg : 1);
-  }
-
-  /// kFast refine: same seed set as `RefineSparse`, but pushed in
-  /// best-|residual|-per-edge-first order on the workspace's bucketed
-  /// priority frontier (key |r|/deg, matching `ForwardPushKernelFast`).
-  /// The repair arithmetic (`PushNode`) is unchanged; only the schedule
-  /// differs, so the refined state satisfies the same Eq. 3 invariant with
-  /// a different float-noise pattern.
-  void RefineSparseFast() {
-    ws_->Begin(g_->NumNodes());
-    ws_->PriorityBegin(opts_.epsilon);
-    for (graph::NodeId v : seed_buf_) {
-      double m = std::abs(state_.residual[v]);
-      double cost = Cost(v);
-      if (m >= opts_.epsilon * cost) ws_->PriorityPush(v, m, cost);
-    }
-    size_t pushes = 0;
-    for (graph::NodeId u;
-         (u = ws_->PriorityPop()) != graph::kInvalidNode;) {
-      // Cooperative deadline: no-op unless the caller armed one.
-      if (DeadlineExpired(opts_, pushes)) throw DeadlineExceededError();
-      if (PushNode(u, [&](graph::NodeId v) {
-            // Ring-resident nodes re-read their residual at pop time.
-            if (ws_->InFrontier(v)) return;
-            double m = std::abs(state_.residual[v]);
-            double cost = Cost(v);
-            if (m >= opts_.epsilon * cost) ws_->PriorityPush(v, m, cost);
-          })) {
-        ++pushes;
-      }
-    }
-    EMIGRE_COUNTER("ppr.dyn.fast.refine_pushes").Increment(pushes);
   }
 
   const G* g_;

@@ -66,7 +66,7 @@ struct PushResult {
 /// zero-fill per call): static pushes at the CLI's ε touch most of the
 /// graph, where dense arrays measured faster than epoch-stamped sparse
 /// state (docs/performance.md). This FIFO loop and `ReversePush` are the
-/// only static pushes of the default `PushEngine::kKernel` schedule.
+/// only static pushes.
 template <graph::GraphLike G>
 PushResult ForwardPush(const G& g, graph::NodeId source,
                        const PprOptions& opts = {}) {

@@ -7,25 +7,16 @@
 
 namespace emigre::ppr {
 
-/// \brief Which push schedule executes the local-push hot loops.
+/// \brief The push schedule: one value, selecting nothing.
 ///
-///  - `kKernel` (default): the FIFO schedule. Static pushes run the dense
-///    `ForwardPush`/`ReversePush` loops; `DynamicForwardPush` repairs run
-///    a sparse refine seeded from the repaired row on a reusable
-///    `PushWorkspace` ring (O(row + pushes) per repair, bitwise the dense
-///    `Refine()` schedule).
-///  - `kFast`: the schedule-free kernels (`ppr/kernels.h`) —
-///    highest-residual-first frontier (bucketed priority queue) and batched
-///    multi-target reverse push. Deliberately NOT bitwise identical to the
-///    FIFO schedule: individual estimates differ by O(ε) float-summation
-///    noise. Correctness is anchored on the Eq. 3/4 invariant validators
-///    (`check/invariants.h`), which are schedule-independent; every
-///    converged kFast state satisfies the same per-node residual bound
-///    (|r(v)| < ε·deg(v) forward, < ε reverse) as the FIFO schedule. See
-///    docs/performance.md for the contract.
+/// Each push direction has one FIFO schedule. Static pushes run the dense
+/// `ForwardPush`/`ReversePush` loops; `DynamicForwardPush` repairs run a
+/// sparse refine seeded from the repaired row on a reusable
+/// `PushWorkspace` ring (bitwise the dense `Refine()` schedule). The enum
+/// and `PprOptions::engine` remain only because the end-to-end benchmark
+/// (e2ebench/e2e_bench.cc) still assigns the field; both go once it stops.
 enum class PushEngine {
   kKernel,
-  kFast,
 };
 
 /// \brief Shared parameters of the Personalized PageRank computations.
@@ -49,13 +40,11 @@ struct PprOptions {
   /// so 300 iterations at α=0.15 is far beyond any practical tolerance.
   size_t max_power_iterations = 300;
 
-  /// Push schedule of the reverse-push cache and the dynamic-push tester;
-  /// kFast keeps the FIFO schedule's ε convergence guarantee under a
-  /// different order. See `PushEngine`.
+  /// Selects nothing; see `PushEngine`.
   PushEngine engine = PushEngine::kKernel;
 
   /// Cooperative query deadline (non-owning; nullptr = none). The push hot
-  /// loops (static, kFast, dynamic repair) and power iteration
+  /// loops (static and dynamic repair) and power iteration
   /// check it periodically — every `kDeadlineCheckInterval` pushes /
   /// every power iteration — and throw `DeadlineExceededError` once it has
   /// expired, instead of running a long push to completion first. A

@@ -59,25 +59,15 @@ grep -q '"heuristic": "Incremental"' "$DIR/q.jsonl"
 LINES=$(wc -l < "$DIR/q.jsonl")
 test "$LINES" -ge 1 -a "$LINES" -le 2
 
-# --push-engine accepts the FIFO `kernel` schedule and the opt-in `fast`
-# one; both serve explain (found or not found). Any other engine name,
-# including the retired `legacy`, is a usage error.
-for ENGINE in kernel fast; do
-  set +e
-  "$EMIGRE" explain --graph "$DIR/g.graph" --user "$USER_ID" \
-      --item "$ITEM_ID" --mode auto --heuristic incremental \
-      --push-engine "$ENGINE" > "$DIR/log" 2>&1
-  CODE=$?
-  set -e
-  test "$CODE" -eq 0 -o "$CODE" -eq 3
-done
+# There is one push schedule and no flag to pick one: --push-engine is a
+# usage error like any unknown flag.
 set +e
 "$EMIGRE" explain --graph "$DIR/g.graph" --user "$USER_ID" \
-    --item "$ITEM_ID" --push-engine legacy > "$DIR/log" 2>&1
+    --item "$ITEM_ID" --push-engine kernel > "$DIR/log" 2>&1
 CODE=$?
 set -e
 test "$CODE" -eq 2
-grep -q "unknown --push-engine legacy" "$DIR/log"
+grep -q "unknown flag --push-engine" "$DIR/log"
 
 # perfgate exit codes: 0 in-band, 1 regression, 2 usage error.
 cat > "$DIR/base.json" <<'EOF'

@@ -64,60 +64,39 @@ TEST(AnytimeDegradedTest, SerialAndParallelReturnTheSameDegradedResult) {
   explain::EmigreOptions base = test::MakeRandomHinOptions(rh);
   base.anytime = true;
   size_t degraded_seen = 0;
-  // Sweep budgets, heuristics, and push engines; every (question, budget)
-  // pair must agree between serial and 4-way parallel verification,
-  // degraded or not — the anytime candidate is keyed to the serial budget
-  // boundary. The candidate enumeration order and the tester verdicts are
-  // both engine-independent, so the degraded best-so-far must ALSO be
-  // identical across kKernel / kFast: the cross-engine check compares
-  // kFast's serial result against the kKernel baseline.
+  // Sweep budgets and heuristics; every (question, budget) pair must agree
+  // between serial and 4-way parallel verification, degraded or not — the
+  // anytime candidate is keyed to the serial budget boundary.
   for (Heuristic h : {Heuristic::kIncremental, Heuristic::kPowerset,
                       Heuristic::kExhaustive}) {
     for (size_t max_tests : {1u, 2u, 3u, 5u, 8u}) {
-      std::vector<Result<Explanation>> kernel_results;
-      for (ppr::PushEngine engine :
-           {ppr::PushEngine::kKernel, ppr::PushEngine::kFast}) {
-        explain::EmigreOptions serial = base;
-        serial.max_tests = max_tests;
-        serial.test_threads = 1;
-        serial.rec.ppr.engine = engine;
-        explain::EmigreOptions parallel = serial;
-        parallel.test_threads = 4;
-        Emigre serial_engine(rh.g, serial);
-        Emigre parallel_engine(rh.g, parallel);
-        size_t question = 0;
-        for (size_t u = 0; u < 4 && u < rh.users.size(); ++u) {
-          for (size_t i = 0; i < 6 && i < rh.items.size(); ++i) {
-            SCOPED_TRACE(testing::Message()
-                         << "engine=" << static_cast<int>(engine)
-                         << " heuristic=" << static_cast<int>(h)
-                         << " max_tests=" << max_tests << " user="
-                         << rh.users[u] << " wni=" << rh.items[i]);
-            WhyNotQuestion q{rh.users[u], rh.items[i]};
-            Result<Explanation> rs =
-                serial_engine.Explain(q, Mode::kRemove, h);
-            Result<Explanation> rp =
-                parallel_engine.Explain(q, Mode::kRemove, h);
-            ASSERT_EQ(rs.ok(), rp.ok());
-            if (engine == ppr::PushEngine::kKernel) {
-              kernel_results.push_back(rs);
-            } else {
-              ASSERT_LT(question, kernel_results.size());
-              const Result<Explanation>& rl = kernel_results[question];
-              ASSERT_EQ(rs.ok(), rl.ok());
-              if (rs.ok()) ExpectSameExplanation(rs.value(), rl.value());
-            }
-            ++question;
-            if (!rs.ok()) continue;
-            ExpectSameExplanation(rs.value(), rp.value());
-            if (rs->degraded) {
-              ++degraded_seen;
-              // The degraded contract.
-              EXPECT_TRUE(rs->found);
-              EXPECT_FALSE(rs->verified);
-              EXPECT_EQ(rs->failure, FailureReason::kBudgetExceeded);
-              EXPECT_FALSE(rs->edges.empty());
-            }
+      explain::EmigreOptions serial = base;
+      serial.max_tests = max_tests;
+      serial.test_threads = 1;
+      explain::EmigreOptions parallel = serial;
+      parallel.test_threads = 4;
+      Emigre serial_engine(rh.g, serial);
+      Emigre parallel_engine(rh.g, parallel);
+      for (size_t u = 0; u < 4 && u < rh.users.size(); ++u) {
+        for (size_t i = 0; i < 6 && i < rh.items.size(); ++i) {
+          SCOPED_TRACE(testing::Message()
+                       << "heuristic=" << static_cast<int>(h)
+                       << " max_tests=" << max_tests << " user="
+                       << rh.users[u] << " wni=" << rh.items[i]);
+          WhyNotQuestion q{rh.users[u], rh.items[i]};
+          Result<Explanation> rs = serial_engine.Explain(q, Mode::kRemove, h);
+          Result<Explanation> rp =
+              parallel_engine.Explain(q, Mode::kRemove, h);
+          ASSERT_EQ(rs.ok(), rp.ok());
+          if (!rs.ok()) continue;
+          ExpectSameExplanation(rs.value(), rp.value());
+          if (rs->degraded) {
+            ++degraded_seen;
+            // The degraded contract.
+            EXPECT_TRUE(rs->found);
+            EXPECT_FALSE(rs->verified);
+            EXPECT_EQ(rs->failure, FailureReason::kBudgetExceeded);
+            EXPECT_FALSE(rs->edges.empty());
           }
         }
       }

@@ -4,6 +4,7 @@
 
 #include "explain/emigre.h"
 #include "explain/tester.h"
+#include "obs/metrics.h"
 #include "recsys/recommender.h"
 #include "test_util.h"
 #include "util/rng.h"
@@ -164,11 +165,11 @@ TEST(FastTesterTest, TestMixedMatchesExact) {
 }
 
 // The tie-break contract (fast_tester.h): rank by score descending, node id
-// ascending on exact ties, regardless of push engine. Crafted graph where
-// two items are perfectly symmetric — user -> rated -> category -> {A, B}
-// with identical weights — so PPR(A) == PPR(B) bitwise under every
-// schedule, and the verdict hinges entirely on the tie-break.
-TEST(FastTesterTest, EqualScoreTieBreaksToLowestIdOnEveryEngine) {
+// ascending on exact ties. Crafted graph where two items are perfectly
+// symmetric — user -> rated -> category -> {A, B} with identical weights —
+// so PPR(A) == PPR(B) bitwise, and the verdict hinges entirely on the
+// tie-break.
+TEST(FastTesterTest, EqualScoreTieBreaksToLowestId) {
   graph::HinGraph g;
   graph::NodeTypeId user_t = g.RegisterNodeType("user");
   graph::NodeTypeId item_t = g.RegisterNodeType("item");
@@ -187,42 +188,74 @@ TEST(FastTesterTest, EqualScoreTieBreaksToLowestIdOnEveryEngine) {
   ASSERT_TRUE(g.AddEdge(c, a, belongs).ok());
   ASSERT_TRUE(g.AddEdge(c, b, belongs).ok());
 
-  explain::EmigreOptions base_opts;
-  base_opts.rec.item_type = item_t;
-  base_opts.allowed_edge_types = {rated};
-  base_opts.add_edge_type = rated;
-  base_opts.rec.ppr.epsilon = 1e-9;
+  explain::EmigreOptions opts;
+  opts.rec.item_type = item_t;
+  opts.allowed_edge_types = {rated};
+  opts.add_edge_type = rated;
+  opts.rec.ppr.epsilon = 1e-9;
 
   // Adding u->x preserves the A/B symmetry (x is a separate branch), so the
   // counterfactual top is the tied pair and must resolve to A, the lower
-  // id, under both engines.
+  // id.
   std::vector<EdgeRef> add_x = {EdgeRef{u, x, rated}};
-  for (ppr::PushEngine engine :
-       {ppr::PushEngine::kKernel, ppr::PushEngine::kFast}) {
-    explain::EmigreOptions opts = base_opts;
-    opts.rec.ppr.engine = engine;
+  FastExplanationTester ask_a(g, u, /*why_not_item=*/a, opts);
+  NodeId rec = graph::kInvalidNode;
+  EXPECT_TRUE(ask_a.Test(add_x, Mode::kAdd, &rec));
+  EXPECT_EQ(rec, a);
 
-    FastExplanationTester ask_a(g, u, /*why_not_item=*/a, opts);
-    NodeId rec = graph::kInvalidNode;
-    EXPECT_TRUE(ask_a.Test(add_x, Mode::kAdd, &rec))
-        << "engine " << static_cast<int>(engine);
-    EXPECT_EQ(rec, a) << "engine " << static_cast<int>(engine);
+  FastExplanationTester ask_b(g, u, /*why_not_item=*/b, opts);
+  rec = graph::kInvalidNode;
+  EXPECT_FALSE(ask_b.Test(add_x, Mode::kAdd, &rec));
+  EXPECT_EQ(rec, a);
 
-    FastExplanationTester ask_b(g, u, /*why_not_item=*/b, opts);
-    rec = graph::kInvalidNode;
-    EXPECT_FALSE(ask_b.Test(add_x, Mode::kAdd, &rec))
-        << "engine " << static_cast<int>(engine);
-    EXPECT_EQ(rec, a) << "engine " << static_cast<int>(engine);
+  // All-zero tie: removing the rated edge leaves every eligible item at
+  // the floored score 0, so the top is the lowest eligible id (r itself,
+  // no longer rated in the counterfactual).
+  std::vector<EdgeRef> drop_r = {EdgeRef{u, r, rated}};
+  rec = graph::kInvalidNode;
+  EXPECT_FALSE(ask_b.Test(drop_r, Mode::kRemove, &rec));
+  EXPECT_EQ(rec, r);
+}
 
-    // All-zero tie: removing the rated edge leaves every eligible item at
-    // the floored score 0, so the top is the lowest eligible id (r itself,
-    // no longer rated in the counterfactual).
-    std::vector<EdgeRef> drop_r = {EdgeRef{u, r, rated}};
-    rec = graph::kInvalidNode;
-    EXPECT_FALSE(ask_b.Test(drop_r, Mode::kRemove, &rec))
-        << "engine " << static_cast<int>(engine);
-    EXPECT_EQ(rec, r) << "engine " << static_cast<int>(engine);
-  }
+// A query deadline that expires between TESTs fails the next TEST as
+// unverifiable (counted on the tester's `.deadline` counter); once it is
+// lifted, the tester recovers — the dynamic one by rebuilding its stale
+// push state — and agrees with a fresh tester again.
+template <typename Tester>
+void ExpectRecoversFromExpiredDeadline(const char* counter) {
+  test::ScenarioFixture f = test::MakeRemoveFriendlyCase();
+  Deadline deadline;  // unlimited while the tester is built
+  EmigreOptions opts = f.opts;
+  opts.rec.ppr.deadline = &deadline;
+  Tester tester(f.g, f.user, f.wni, opts);
+  Tester fresh(f.g, f.user, f.wni, f.opts);
+  const graph::Edge& first = f.g.OutEdges(f.user).front();
+  std::vector<EdgeRef> edits = {EdgeRef{f.user, first.node, first.type}};
+
+  deadline = Deadline(1e-12);  // expired by the TEST's first poll
+  deadline.Start();
+  obs::Counter& unwinds = obs::Registry::Global().GetCounter(counter);
+  const uint64_t unwinds_before = unwinds.Value();
+  NodeId rec = f.user;
+  EXPECT_FALSE(tester.Test(edits, Mode::kRemove, &rec)) << counter;
+  EXPECT_EQ(rec, graph::kInvalidNode) << counter;
+  EXPECT_EQ(unwinds.Value(), unwinds_before + 1) << counter;
+
+  deadline = Deadline();  // lifted
+  NodeId fresh_rec = graph::kInvalidNode;
+  bool fresh_ok = fresh.Test(edits, Mode::kRemove, &fresh_rec);
+  ASSERT_NE(fresh_rec, graph::kInvalidNode);
+  rec = graph::kInvalidNode;
+  EXPECT_EQ(tester.Test(edits, Mode::kRemove, &rec), fresh_ok) << counter;
+  EXPECT_EQ(rec, fresh_rec) << counter;
+  EXPECT_EQ(unwinds.Value(), unwinds_before + 1) << counter;
+}
+
+TEST(TesterDeadlineTest, ExpiredDeadlineFailsOneTestAndLiftedOneRecovers) {
+  ExpectRecoversFromExpiredDeadline<ExplanationTester>(
+      "explain.tests.exact.deadline");
+  ExpectRecoversFromExpiredDeadline<FastExplanationTester>(
+      "explain.tests.dynamic.deadline");
 }
 
 }  // namespace

@@ -224,29 +224,15 @@ void ExpectIdenticalExplanations(const graph::HinGraph& g,
       {Mode::kAdd, Heuristic::kExhaustive},
       {Mode::kAdd, Heuristic::kPowerset},
   };
-  // Whole Explanations must agree across every (push engine × thread count)
-  // combination: kFast — whose priority schedule is NOT bitwise-identical
-  // to the FIFO kernel schedule — is held to the same bar because tester
-  // verdicts are schedule-independent by construction (sub-noise scores
-  // floored to 0, exact ties broken by ascending id). Swapping engines may
-  // not change a single accepted candidate.
-  struct Config {
-    ppr::PushEngine engine;
-    size_t threads;
-  };
-  const Config configs[] = {
-      {ppr::PushEngine::kKernel, 1},
-      {ppr::PushEngine::kKernel, 4},
-      {ppr::PushEngine::kFast, 1},
-      {ppr::PushEngine::kFast, 4},
-  };
+  // Whole Explanations, work counters included, must agree across thread
+  // counts.
+  const size_t thread_counts[] = {1, 4};
   for (TesterKind kind : {TesterKind::kExact, TesterKind::kDynamicPush}) {
     std::vector<std::unique_ptr<Emigre>> engines;
-    for (const Config& cfg : configs) {
+    for (size_t threads : thread_counts) {
       EmigreOptions opts = base_opts;
       opts.tester = kind;
-      opts.test_threads = cfg.threads;
-      opts.rec.ppr.engine = cfg.engine;
+      opts.test_threads = threads;
       engines.push_back(std::make_unique<Emigre>(g, opts));
     }
     for (const EngineCase& c : cases) {
@@ -260,22 +246,15 @@ void ExpectIdenticalExplanations(const graph::HinGraph& g,
         SCOPED_TRACE(testing::Message()
                      << "mode=" << static_cast<int>(c.mode) << " heuristic="
                      << static_cast<int>(c.heuristic) << " kind="
-                     << static_cast<int>(kind) << " engine="
-                     << static_cast<int>(configs[i].engine) << " threads="
-                     << configs[i].threads << " user=" << user
+                     << static_cast<int>(kind) << " threads="
+                     << thread_counts[i] << " user=" << user
                      << " wni=" << wni);
         EXPECT_EQ(a->found, b->found);
         EXPECT_EQ(a->verified, b->verified);
         EXPECT_EQ(a->edges, b->edges);
         EXPECT_EQ(a->new_rec, b->new_rec);
         EXPECT_EQ(a->failure, b->failure);
-        if (configs[i].engine != ppr::PushEngine::kFast) {
-          // Work counters are only bitwise-stable under the FIFO
-          // schedule; kFast may drop sub-epsilon candidates
-          // from the search space, so it is held to the semantic fields
-          // above but not to the exact candidate count.
-          EXPECT_EQ(a->candidates_considered, b->candidates_considered);
-        }
+        EXPECT_EQ(a->candidates_considered, b->candidates_considered);
       }
     }
   }

@@ -1,8 +1,7 @@
 // The emigre.csr.v1 mmap snapshot (docs/data_format.md): round trips
 // against the HinGraph it was written from, byte-identical output from the
-// streaming dataset->CSR converter, corruption robustness, and the engine
-// grid proving explanations are identical on mmap-backed and heap-backed
-// graphs.
+// streaming dataset->CSR converter, corruption robustness, and identical
+// explanations on mmap-backed and heap-backed graphs.
 
 #include "graph/csr_snapshot.h"
 
@@ -180,51 +179,45 @@ TEST(CsrSnapshotTest, FaultSiteInjectsOnMap) {
   EXPECT_EQ(v.status().code(), StatusCode::kIOError);
 }
 
-// The acceptance bar for the snapshot layer: every push engine produces the
-// same explanation whether the graph lives on the heap (HinGraph) or behind
-// the mmap (CsrSnapshotView).
-TEST(CsrSnapshotTest, EngineGridAgreesOnMmapAndHeapBackings) {
+// The acceptance bar for the snapshot layer: the same explanation whether
+// the graph lives on the heap (HinGraph) or behind the mmap
+// (CsrSnapshotView).
+TEST(CsrSnapshotTest, ExplanationsAgreeOnMmapAndHeapBackings) {
   test::BookGraph bg = test::MakeBookGraph();
   std::string path = test::MakeTempDir("snap") + "/book.csr";
   ASSERT_TRUE(WriteGraphSnapshot(bg.g, path).ok());
   auto view = CsrSnapshotView::Load(path);
   ASSERT_TRUE(view.ok()) << view.status();
 
-  explain::EmigreOptions base = test::MakeBookOptions(bg);
-  base.deadline_seconds = 0.0;
+  explain::EmigreOptions opts = test::MakeBookOptions(bg);
+  opts.deadline_seconds = 0.0;
 
   const std::vector<NodeId> wnis = {bg.lotr, bg.python, bg.candide,
                                     bg.alchemist};
   size_t found = 0;
-  for (ppr::PushEngine engine :
-       {ppr::PushEngine::kKernel, ppr::PushEngine::kFast}) {
-    explain::EmigreOptions opts = base;
-    opts.rec.ppr.engine = engine;
-    explain::Emigre heap_engine(bg.g, opts);
-    explain::EmigreT<CsrSnapshotView> mmap_engine(view.value(), opts);
-    for (NodeId user : {bg.paul, bg.alice, bg.bob}) {
-      for (NodeId wni : wnis) {
-        for (explain::Mode mode :
-             {explain::Mode::kRemove, explain::Mode::kAdd}) {
-          explain::WhyNotQuestion q{user, wni};
-          auto a = heap_engine.Explain(q, mode,
-                                       explain::Heuristic::kExhaustive);
-          auto b = mmap_engine.Explain(q, mode,
-                                       explain::Heuristic::kExhaustive);
-          ASSERT_EQ(a.ok(), b.ok())
-              << "user " << user << " wni " << wni << " engine "
-              << static_cast<int>(engine);
-          if (!a.ok()) continue;
-          EXPECT_EQ(a->found, b->found);
-          EXPECT_EQ(a->edges, b->edges);
-          EXPECT_EQ(a->new_rec, b->new_rec);
-          EXPECT_EQ(a->failure, b->failure);
-          if (a->found) ++found;
-        }
+  explain::Emigre heap_engine(bg.g, opts);
+  explain::EmigreT<CsrSnapshotView> mmap_engine(view.value(), opts);
+  for (NodeId user : {bg.paul, bg.alice, bg.bob}) {
+    for (NodeId wni : wnis) {
+      for (explain::Mode mode :
+           {explain::Mode::kRemove, explain::Mode::kAdd}) {
+        explain::WhyNotQuestion q{user, wni};
+        auto a = heap_engine.Explain(q, mode,
+                                     explain::Heuristic::kExhaustive);
+        auto b = mmap_engine.Explain(q, mode,
+                                     explain::Heuristic::kExhaustive);
+        ASSERT_EQ(a.ok(), b.ok())
+            << "user " << user << " wni " << wni;
+        if (!a.ok()) continue;
+        EXPECT_EQ(a->found, b->found);
+        EXPECT_EQ(a->edges, b->edges);
+        EXPECT_EQ(a->new_rec, b->new_rec);
+        EXPECT_EQ(a->failure, b->failure);
+        if (a->found) ++found;
       }
     }
   }
-  // The grid must actually exercise successful explanations, not just
+  // The sweep must actually exercise successful explanations, not just
   // agree on failures.
   EXPECT_GT(found, 0u);
 }

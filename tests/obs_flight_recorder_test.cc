@@ -501,7 +501,7 @@ TEST(PerfGateTest, FloorsAssertAbsoluteMinimumsBelowTheNoiseFloor) {
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report->pass) << report->Format();
 
-  cur.metrics.gauges.back().value = 0.8;  // kFast now slower than dense
+  cur.metrics.gauges.back().value = 0.8;  // now slower than the baseline path
   report = ComparePerf(base, cur, opts);
   ASSERT_TRUE(report.ok());
   EXPECT_FALSE(report->pass);

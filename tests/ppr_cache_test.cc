@@ -64,30 +64,6 @@ TEST(ReversePushCacheTest, ResidentBytesAreExactEntrySizes) {
   EXPECT_EQ(cache.bytes(), expected);
 }
 
-TEST(ReversePushCacheTest, KFastEntriesAreExactSize) {
-  // kFast fills carry no slack capacity either: the columns of one shared
-  // batch push and the single-target pushes alike. At a loose ε some
-  // touched nodes keep a zero estimate, which a fill sized by the touched
-  // count would leave as slack.
-  Rng rng(17);
-  test::RandomHin rh = test::MakeRandomHin(rng, 8, 40, 4, 6);
-  PprOptions opts;
-  opts.engine = PushEngine::kFast;
-  opts.epsilon = 0.02;
-  ReversePushCache<HinGraph> cache(rh.g, opts);
-  std::vector<NodeId> targets(rh.items.begin(), rh.items.begin() + 6);
-  std::vector<std::shared_ptr<const SparseVector>> filled =
-      cache.GetBatch(targets);
-  for (size_t i = 6; i < 9; ++i) filled.push_back(cache.Get(rh.items[i]));
-  ASSERT_EQ(cache.misses(), filled.size());
-  size_t expected = 0;
-  for (const auto& v : filled) {
-    expected += v->ids().size() * sizeof(NodeId) +
-                v->values().size() * sizeof(double);
-  }
-  EXPECT_EQ(cache.bytes(), expected);
-}
-
 TEST(ReversePushCacheTest, BytesTrackResidentEntries) {
   test::BookGraph bg = test::MakeBookGraph();
   ReversePushCache<HinGraph> cache(bg.g, PprOptions{}, /*capacity=*/2);
@@ -96,6 +72,9 @@ TEST(ReversePushCacheTest, BytesTrackResidentEntries) {
   EXPECT_EQ(cache.bytes(), first->MemoryBytes());
   auto second = cache.Get(bg.python);
   EXPECT_EQ(cache.bytes(), first->MemoryBytes() + second->MemoryBytes());
+  // The resident-bytes gauge tracks the same accounting.
+  EXPECT_EQ(obs::Registry::Global().GetGauge("ppr.cache.bytes").Value(),
+            static_cast<double>(cache.bytes()));
   // Sparse entries are far smaller than a dense |V| vector would be.
   EXPECT_LT(first->MemoryBytes() / sizeof(double), 2 * bg.g.NumNodes());
   cache.Get(bg.candide);  // evicts harry_potter (capacity 2)
@@ -105,6 +84,7 @@ TEST(ReversePushCacheTest, BytesTrackResidentEntries) {
                 first->MemoryBytes() + 1);
   cache.Clear();
   EXPECT_EQ(cache.bytes(), 0u);
+  EXPECT_EQ(obs::Registry::Global().GetGauge("ppr.cache.bytes").Value(), 0.0);
 }
 
 TEST(ReversePushCacheTest, CountsHitsAndMisses) {
@@ -229,87 +209,6 @@ TEST(ReversePushCacheTest, RacesStayZeroWhenSingleThreaded) {
   EXPECT_EQ(cache.races(), 0u);
   EXPECT_EQ(cache.misses(), 2u);
   EXPECT_EQ(cache.hits(), 1u);
-}
-
-// GetBatch accounting must be serial-Get-equivalent: each position of the
-// target list is exactly one hit / miss / race, a unique missing target
-// counts ONE miss even when its column came from the shared batched push,
-// and duplicates of a missing target count as the follow-up hits they
-// replace.
-TEST(ReversePushCacheTest, GetBatchAccountingMatchesSerialGets) {
-  test::BookGraph bg = test::MakeBookGraph();
-  PprOptions opts;
-  opts.engine = PushEngine::kFast;  // batch kernel path for 2+ misses
-  ReversePushCache<HinGraph> cache(bg.g, opts);
-
-  // Warm one target the batch will then hit.
-  cache.Get(bg.harry_potter);
-  ASSERT_EQ(cache.misses(), 1u);
-
-  std::vector<NodeId> targets = {bg.harry_potter, bg.python, bg.candide,
-                                 bg.python, bg.harry_potter};
-  auto out = cache.GetBatch(targets);
-  ASSERT_EQ(out.size(), targets.size());
-  for (const auto& v : out) ASSERT_NE(v, nullptr);
-
-  // Serial equivalent of the batch: hit, miss, miss, hit, hit.
-  EXPECT_EQ(cache.misses(), 3u);  // harry warm-up + python + candide
-  EXPECT_EQ(cache.hits(), 3u);
-  EXPECT_EQ(cache.races(), 0u);
-  EXPECT_EQ(cache.hits() + cache.misses() + cache.races(),
-            targets.size() + 1);  // one bucket per Get position
-  EXPECT_EQ(cache.size(), 3u);
-
-  // Duplicate positions share the installed vector.
-  EXPECT_EQ(out[1], out[3]);
-  EXPECT_EQ(out[0], out[4]);
-
-  // Batch-installed columns ARE the cache entries afterwards.
-  EXPECT_EQ(cache.Get(bg.python), out[1]);
-  EXPECT_EQ(cache.Get(bg.candide), out[2]);
-  EXPECT_EQ(cache.misses(), 3u);  // both follow-ups hit
-}
-
-TEST(ReversePushCacheTest, GetBatchColumnsMatchSingleTargetComputation) {
-  // A batched kFast column is not bitwise identical to a single-target
-  // push, but both are Eq. 4-accurate: per-source estimates agree within
-  // push noise of the FIFO dense reverse push.
-  test::BookGraph bg = test::MakeBookGraph();
-  PprOptions opts;
-  opts.engine = PushEngine::kFast;
-  ReversePushCache<HinGraph> cache(bg.g, opts);
-
-  std::vector<NodeId> targets = {bg.harry_potter, bg.python, bg.candide};
-  auto out = cache.GetBatch(targets);
-  for (size_t c = 0; c < targets.size(); ++c) {
-    std::vector<double> dense = ReversePush(bg.g, targets[c], opts).estimate;
-    for (NodeId s = 0; s < bg.g.NumNodes(); ++s) {
-      EXPECT_NEAR(out[c]->Get(s), dense[s], 10.0 * opts.epsilon)
-          << "target " << targets[c] << " source " << s;
-    }
-  }
-}
-
-TEST(ReversePushCacheTest, GetBatchMaintainsBytesAndGauge) {
-  test::BookGraph bg = test::MakeBookGraph();
-  PprOptions opts;
-  opts.engine = PushEngine::kFast;
-  ReversePushCache<HinGraph> cache(bg.g, opts);
-
-  std::vector<NodeId> targets = {bg.harry_potter, bg.python, bg.candide};
-  auto out = cache.GetBatch(targets);
-
-  size_t expected = 0;
-  for (const auto& v : out) expected += v->MemoryBytes();
-  EXPECT_GT(cache.bytes(), 0u);
-  EXPECT_EQ(cache.bytes(), expected);
-  // The resident-bytes gauge tracks the same accounting.
-  EXPECT_EQ(obs::Registry::Global().GetGauge("ppr.cache.bytes").Value(),
-            static_cast<double>(cache.bytes()));
-
-  cache.Clear();
-  EXPECT_EQ(cache.bytes(), 0u);
-  EXPECT_EQ(obs::Registry::Global().GetGauge("ppr.cache.bytes").Value(), 0.0);
 }
 
 TEST(ReversePushCacheTest, EmigreResultsUnchangedByCache) {

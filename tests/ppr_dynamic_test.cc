@@ -103,47 +103,43 @@ TEST(DynamicPushTest, SurvivesLongRandomEditSequence) {
 // kResidualMassResyncInterval repairs, so at any point the drift is at
 // most one interval's worth of roundings.
 TEST(DynamicPushTest, ResidualMassDriftBoundedOverThousandsOfRepairs) {
-  for (PushEngine engine : {PushEngine::kKernel, PushEngine::kFast}) {
-    test::BookGraph bg = test::MakeBookGraph();
-    PprOptions opts;
-    opts.epsilon = 1e-8;
-    opts.engine = engine;
-    PushWorkspace ws;
-    DynamicForwardPush<HinGraph> dyn(bg.g, bg.paul, opts, &ws);
+  test::BookGraph bg = test::MakeBookGraph();
+  PprOptions opts;
+  opts.epsilon = 1e-8;
+  PushWorkspace ws;
+  DynamicForwardPush<HinGraph> dyn(bg.g, bg.paul, opts, &ws);
 
-    const uint64_t resyncs_before =
-        obs::Registry::Global().GetCounter("ppr.dyn.resyncs").Value();
-    // 1500 remove/re-add cycles = 3000 repairs: enough to cross the
-    // 1024-repair resync interval at least twice.
-    for (int cycle = 0; cycle < 1500; ++cycle) {
-      dyn.BeforeOutEdgeChange(bg.paul);
-      ASSERT_TRUE(bg.g.RemoveEdge(bg.paul, bg.candide, bg.rated).ok());
-      dyn.AfterOutEdgeChange(bg.paul);
-      dyn.BeforeOutEdgeChange(bg.paul);
-      ASSERT_TRUE(bg.g.AddEdge(bg.paul, bg.candide, bg.rated, 1.0).ok());
-      dyn.AfterOutEdgeChange(bg.paul);
-    }
-    const uint64_t resyncs =
-        obs::Registry::Global().GetCounter("ppr.dyn.resyncs").Value() -
-        resyncs_before;
-    EXPECT_GE(resyncs, 2u) << "periodic resync did not trigger";
+  const uint64_t resyncs_before =
+      obs::Registry::Global().GetCounter("ppr.dyn.resyncs").Value();
+  // 1500 remove/re-add cycles = 3000 repairs: enough to cross the
+  // 1024-repair resync interval at least twice.
+  for (int cycle = 0; cycle < 1500; ++cycle) {
+    dyn.BeforeOutEdgeChange(bg.paul);
+    ASSERT_TRUE(bg.g.RemoveEdge(bg.paul, bg.candide, bg.rated).ok());
+    dyn.AfterOutEdgeChange(bg.paul);
+    dyn.BeforeOutEdgeChange(bg.paul);
+    ASSERT_TRUE(bg.g.AddEdge(bg.paul, bg.candide, bg.rated, 1.0).ok());
+    dyn.AfterOutEdgeChange(bg.paul);
+  }
+  const uint64_t resyncs =
+      obs::Registry::Global().GetCounter("ppr.dyn.resyncs").Value() -
+      resyncs_before;
+  EXPECT_GE(resyncs, 2u) << "periodic resync did not trigger";
 
-    // Whatever accumulated since the last automatic resync is at most one
-    // interval of float roundings — far below the push tolerance.
-    double drift = dyn.ResyncResidualMass();
-    EXPECT_LT(std::abs(drift), 1e-9) << "engine "
-                                     << static_cast<int>(engine);
+  // Whatever accumulated since the last automatic resync is at most one
+  // interval of float roundings — far below the push tolerance.
+  double drift = dyn.ResyncResidualMass();
+  EXPECT_LT(std::abs(drift), 1e-9);
 
-    // After a resync the incremental mass IS the scan, bitwise.
-    double scan = 0.0;
-    for (double r : dyn.Residuals()) scan += r;
-    EXPECT_EQ(dyn.State().residual_mass, scan);
+  // After a resync the incremental mass IS the scan, bitwise.
+  double scan = 0.0;
+  for (double r : dyn.Residuals()) scan += r;
+  EXPECT_EQ(dyn.State().residual_mass, scan);
 
-    // The state itself is still correct (the graph is back to baseline).
-    std::vector<double> fresh = PowerIterationPpr(bg.g, bg.paul, opts);
-    for (NodeId t = 0; t < bg.g.NumNodes(); ++t) {
-      EXPECT_NEAR(dyn.Estimate(t), fresh[t], kTol) << "t=" << t;
-    }
+  // The state itself is still correct (the graph is back to baseline).
+  std::vector<double> fresh = PowerIterationPpr(bg.g, bg.paul, opts);
+  for (NodeId t = 0; t < bg.g.NumNodes(); ++t) {
+    EXPECT_NEAR(dyn.Estimate(t), fresh[t], kTol) << "t=" << t;
   }
 }
 

@@ -1,4 +1,4 @@
-#include "ppr/kernels.h"
+#include "ppr/workspace.h"
 
 #include <gtest/gtest.h>
 
@@ -14,7 +14,6 @@
 #include "ppr/forward_push.h"
 #include "ppr/power_iteration.h"
 #include "ppr/reverse_push.h"
-#include "ppr/workspace.h"
 #include "test_util.h"
 #include "util/rng.h"
 
@@ -135,34 +134,41 @@ TEST(PushBackingParityTest, DenseLoopsBitwiseEqualAcrossBackings) {
 // ---------------------------------------------------------------------------
 // Workspace reuse
 
+/// A user of `g` with at least one out-edge, and that out-row.
+NodeId UserWithRow(const test::RandomHin& rh, const CsrGraph& g,
+                   std::vector<graph::Edge>* row) {
+  for (NodeId u : rh.users) {
+    if (g.OutDegree(u) == 0) continue;
+    g.ForEachOutEdge(u, [&](NodeId dst, EdgeTypeId t, double w) {
+      row->push_back(graph::Edge{dst, t, w});
+    });
+    return u;
+  }
+  return graph::kInvalidNode;
+}
+
+
 TEST(KernelCorrectnessTest, NoDenseResetsAfterWarmup) {
-  // Sparse FIFO repairs and kFast pushes share one workspace: once its
-  // arrays reached graph size, no later Begin may pay an O(n) clear.
+  // Sparse FIFO repairs share one workspace: once its arrays reached graph
+  // size, no later Begin may pay an O(n) clear.
   Rng rng(3);
   test::RandomHin rh = test::MakeRandomHin(rng, 10, 40, 4, 6);
   CsrGraph csr(rh.g);
   BasicGraphOverlay<CsrGraph> o(csr);
   PushWorkspace ws;
-  ForwardPushKernelFast(csr, rh.users[0], PprOptions{}, ws);  // warm-up growth
+  ws.Begin(csr.NumNodes());  // warm-up growth
   const size_t resets_after_warmup = ws.stats().dense_resets;
   EXPECT_GE(resets_after_warmup, 1u);
   const size_t begins_before = ws.stats().begins;
 
-  NodeId user = rh.users[0];
-  for (NodeId u : rh.users) {
-    if (csr.OutDegree(u) > 0) user = u;
-  }
-  ASSERT_GT(csr.OutDegree(user), 0u);
   std::vector<graph::Edge> row;
-  csr.ForEachOutEdge(user, [&](NodeId dst, EdgeTypeId t, double w) {
-    row.push_back(graph::Edge{dst, t, w});
-  });
+  NodeId user = UserWithRow(rh, csr, &row);
+  ASSERT_NE(user, graph::kInvalidNode);
   size_t expected_begins = 0;
-  for (PushEngine engine : {PushEngine::kKernel, PushEngine::kFast}) {
-    PprOptions opts;
-    opts.engine = engine;
+  PprOptions opts;
+  // Two instances in turn, as a tester's rebuild reuses its workspace.
+  for (int instance = 0; instance < 2; ++instance) {
     DynamicForwardPush<BasicGraphOverlay<CsrGraph>> dyn(o, user, opts, &ws);
-    if (engine == PushEngine::kFast) ++expected_begins;  // initial kFast push
     for (int i = 0; i < 20; ++i) {
       const graph::Edge& e = row[static_cast<size_t>(i) % row.size()];
       dyn.BeforeOutEdgeChange(user);
@@ -176,18 +182,9 @@ TEST(KernelCorrectnessTest, NoDenseResetsAfterWarmup) {
     EXPECT_TRUE(
         check::ValidateForwardPushInvariant(o, user, dyn.State(), opts).ok());
   }
-  for (int i = 0; i < 20; ++i) {
-    ForwardPushKernelFast(csr, rh.users[i % rh.users.size()], PprOptions{},
-                          ws);
-    ReversePushKernelFast(csr, rh.items[i % rh.items.size()], PprOptions{},
-                          ws);
-    expected_begins += 2;
-  }
-  // The tentpole claim: zero O(n) clears once the arrays reached size.
+  // Zero O(n) clears once the arrays reached size.
   EXPECT_EQ(ws.stats().dense_resets, resets_after_warmup);
   EXPECT_EQ(ws.stats().begins - begins_before, expected_begins);
-  // And the sparse reset actually paid less than dense would have.
-  EXPECT_LT(ws.stats().touched_total, ws.stats().begins * csr.NumNodes());
 }
 
 // ---------------------------------------------------------------------------
@@ -284,36 +281,60 @@ TEST(ResidualMassTest, MatchesScanOnPushResults) {
 TEST(KernelDeadlineTest, ExpiredDeadlineUnwindsEveryEngine) {
   Rng rng(29);
   test::RandomHin rh = test::MakeRandomHin(rng, 10, 30, 3, 6);
-  CsrGraph g(rh.g);
   PprOptions opts;
   Deadline deadline(1e-12);  // effectively already expired
   deadline.Start();
   opts.deadline = &deadline;
-  PushWorkspace ws;
-  EXPECT_THROW(ForwardPushKernelFast(g, rh.users[0], opts, ws),
-               DeadlineExceededError);
-  EXPECT_THROW(ReversePushKernelFast(g, rh.items[0], opts, ws),
-               DeadlineExceededError);
-  EXPECT_THROW(ReversePushBatchKernel(g, {rh.items[0], rh.items[1]}, opts, ws),
-               DeadlineExceededError);
   EXPECT_THROW(ForwardPush(rh.g, rh.users[0], opts), DeadlineExceededError);
   EXPECT_THROW(ReversePush(rh.g, rh.items[0], opts), DeadlineExceededError);
   EXPECT_THROW(PowerIterationPpr(rh.g, rh.users[0], opts),
                DeadlineExceededError);
+}
 
-  // The unwind mid-push (including mid-batched-push) leaves the workspace
-  // rebuildable: the next Begin starts a fresh epoch, and a clean run on
-  // the survivor matches a cold workspace bitwise.
-  opts.deadline = nullptr;
-  KernelResult kr = ForwardPushKernelFast(g, rh.users[0], opts, ws);
-  PushResult survivor = ExportDensePush(ws, g.NumNodes(), kr.residual_mass);
-  PushWorkspace cold;
-  KernelResult ck = ForwardPushKernelFast(g, rh.users[0], opts, cold);
-  PushResult fresh = ExportDensePush(cold, g.NumNodes(), ck.residual_mass);
-  for (NodeId v = 0; v < g.NumNodes(); ++v) {
-    EXPECT_EQ(survivor.estimate[v], fresh.estimate[v]);
-    EXPECT_EQ(survivor.residual[v], fresh.residual[v]);
+TEST(KernelDeadlineTest, ExpiredDeadlineUnwindsRepairUnderBothRefines) {
+  Rng rng(29);
+  test::RandomHin rh = test::MakeRandomHin(rng, 10, 30, 3, 6);
+  CsrGraph csr(rh.g);
+  std::vector<graph::Edge> row;
+  NodeId user = UserWithRow(rh, csr, &row);
+  ASSERT_NE(user, graph::kInvalidNode);
+  BasicGraphOverlay<CsrGraph> o(csr);
+  Deadline deadline;  // unlimited while the initial push runs
+  PprOptions opts;
+  opts.deadline = &deadline;
+
+  // Dense reference refine (no workspace), then the sparse one.
+  PushWorkspace survivor;
+  for (PushWorkspace* ws : {static_cast<PushWorkspace*>(nullptr), &survivor}) {
+    deadline = Deadline();
+    o.Clear();
+    DynamicForwardPush<BasicGraphOverlay<CsrGraph>> dyn(o, user, opts, ws);
+    deadline = Deadline(1e-12);  // expires before the repair's first push
+    deadline.Start();
+    dyn.BeforeOutEdgeChange(user);
+    ASSERT_TRUE(o.RemoveEdge(user, row[0].node, row[0].type).ok());
+    EXPECT_THROW(dyn.AfterOutEdgeChange(user), DeadlineExceededError)
+        << (ws == nullptr ? "dense" : "sparse") << " refine";
   }
+
+  // The unwind left the survivor's ring mid-refine; the next Begin starts
+  // a fresh epoch, so a repair on it matches one on a cold workspace
+  // bitwise.
+  deadline = Deadline();
+  PushWorkspace cold;
+  auto repair = [&](PushWorkspace* ws) {
+    o.Clear();
+    DynamicForwardPush<BasicGraphOverlay<CsrGraph>> dyn(o, user, opts, ws);
+    dyn.BeforeOutEdgeChange(user);
+    EXPECT_TRUE(o.RemoveEdge(user, row[0].node, row[0].type).ok());
+    dyn.AfterOutEdgeChange(user);
+    return dyn.State();
+  };
+  PushResult after_unwind = repair(&survivor);
+  PushResult fresh = repair(&cold);
+  EXPECT_EQ(after_unwind.estimate, fresh.estimate);
+  EXPECT_EQ(after_unwind.residual, fresh.residual);
+  EXPECT_EQ(after_unwind.residual_mass, fresh.residual_mass);
 }
 
 TEST(KernelDeadlineTest, UnexpiredAndAbsentDeadlinesChangeNothing) {
@@ -330,291 +351,28 @@ TEST(KernelDeadlineTest, UnexpiredAndAbsentDeadlinesChangeNothing) {
   PushResult guarded_dense = ForwardPush(g, rh.users[1], guarded);
   EXPECT_EQ(guarded_dense.estimate, base_dense.estimate);
   EXPECT_EQ(guarded_dense.residual, base_dense.residual);
+  PushResult base_rev = ReversePush(g, rh.items[1], plain);
+  PushResult guarded_rev = ReversePush(g, rh.items[1], guarded);
+  EXPECT_EQ(guarded_rev.estimate, base_rev.estimate);
+  EXPECT_EQ(guarded_rev.residual, base_rev.residual);
 
-  PushWorkspace ws_plain;
-  PushWorkspace ws_guarded;
-  KernelResult baseline = ForwardPushKernelFast(g, rh.users[1], plain,
-                                                ws_plain);
-  KernelResult kr = ForwardPushKernelFast(g, rh.users[1], guarded,
-                                          ws_guarded);
-  EXPECT_EQ(kr.pushes, baseline.pushes);
-  for (NodeId v = 0; v < g.NumNodes(); ++v) {
-    EXPECT_EQ(ws_guarded.Estimate(v), ws_plain.Estimate(v));
-    EXPECT_EQ(ws_guarded.Residual(v), ws_plain.Residual(v));
-  }
-}
-
-// ---------------------------------------------------------------------------
-// kFast: schedule-free priority kernels. The correctness oracle is the
-// Eq. 3 / Eq. 4 residual identity plus the termination threshold — NOT
-// bitwise identity with the FIFO schedule (which kFast deliberately
-// abandons for best-residual-first ordering).
-
-TEST(FastKernelTest, ForwardSatisfiesEq3AndTermination) {
-  Rng rng(47);
-  test::BookGraph bg = test::MakeBookGraph();
-  test::RandomHin rh = test::MakeRandomHin(rng, 8, 24, 3, 6);
-  PprOptions opts;
-  opts.epsilon = 1e-9;
-  PushWorkspace ws;
-  struct Case {
-    const HinGraph* g;
-    NodeId source;
+  // A workspace-backed repair polls the deadline in its refine loop.
+  std::vector<graph::Edge> row;
+  NodeId user = UserWithRow(rh, g, &row);
+  ASSERT_NE(user, graph::kInvalidNode);
+  auto repair = [&](const PprOptions& opts) {
+    BasicGraphOverlay<CsrGraph> o(g);
+    PushWorkspace ws;
+    DynamicForwardPush<BasicGraphOverlay<CsrGraph>> dyn(o, user, opts, &ws);
+    dyn.BeforeOutEdgeChange(user);
+    EXPECT_TRUE(o.RemoveEdge(user, row[0].node, row[0].type).ok());
+    dyn.AfterOutEdgeChange(user);
+    return dyn.State();
   };
-  std::vector<Case> cases;
-  for (NodeId s = 0; s < bg.g.NumNodes(); ++s) cases.push_back({&bg.g, s});
-  cases.push_back({&rh.g, rh.users[0]});
-  cases.push_back({&rh.g, rh.users[3]});
-  for (const Case& c : cases) {
-    KernelResult kr = ForwardPushKernelFast(*c.g, c.source, opts, ws);
-    PushResult fast = ExportDensePush(ws, c.g->NumNodes(), kr.residual_mass);
-    EXPECT_TRUE(
-        check::ValidateForwardPushInvariant(*c.g, c.source, fast, opts).ok());
-    // Termination: every node is below its degree-scaled threshold.
-    for (NodeId v = 0; v < c.g->NumNodes(); ++v) {
-      double thresh =
-          opts.epsilon * std::max<double>(c.g->OutDegree(v), 1.0);
-      EXPECT_LT(fast.residual[v], thresh) << "node " << v;
-      EXPECT_GE(fast.residual[v], 0.0) << "node " << v;
-    }
-    // And the estimates are the right numbers, not just a valid state.
-    std::vector<double> pi = PowerIterationPpr(*c.g, c.source, opts);
-    for (NodeId v = 0; v < c.g->NumNodes(); ++v) {
-      EXPECT_NEAR(fast.estimate[v], pi[v], 1e-5) << "node " << v;
-    }
-  }
-}
-
-TEST(FastKernelTest, ReverseSatisfiesEq4AndTermination) {
-  Rng rng(53);
-  test::BookGraph bg = test::MakeBookGraph();
-  test::RandomHin rh = test::MakeRandomHin(rng, 8, 24, 3, 6);
-  PprOptions opts;
-  opts.epsilon = 1e-9;
-  PushWorkspace ws;
-  struct Case {
-    const HinGraph* g;
-    NodeId target;
-  };
-  std::vector<Case> cases;
-  for (NodeId t = 0; t < bg.g.NumNodes(); ++t) cases.push_back({&bg.g, t});
-  cases.push_back({&rh.g, rh.items[0]});
-  cases.push_back({&rh.g, rh.items[5]});
-  for (const Case& c : cases) {
-    KernelResult kr = ReversePushKernelFast(*c.g, c.target, opts, ws);
-    PushResult fast = ExportDensePush(ws, c.g->NumNodes(), kr.residual_mass);
-    EXPECT_TRUE(
-        check::ValidateReversePushInvariant(*c.g, c.target, fast, opts).ok());
-    for (NodeId v = 0; v < c.g->NumNodes(); ++v) {
-      EXPECT_LT(std::abs(fast.residual[v]), opts.epsilon) << "node " << v;
-    }
-  }
-}
-
-TEST(FastKernelTest, DeterministicAcrossRunsAndWorkspaceReuse) {
-  test::BookGraph bg = test::MakeBookGraph();
-  PprOptions opts;
-  opts.epsilon = 1e-9;
-  // Same workspace reused across epochs, plus a cold workspace: all three
-  // runs must be bitwise identical — the priority schedule is a pure
-  // function of the graph and options, never of leftover state.
-  PushWorkspace warm;
-  KernelResult k1 = ForwardPushKernelFast(bg.g, bg.paul, opts, warm);
-  PushResult r1 = ExportDensePush(warm, bg.g.NumNodes(), k1.residual_mass);
-  KernelResult k2 = ForwardPushKernelFast(bg.g, bg.paul, opts, warm);
-  PushResult r2 = ExportDensePush(warm, bg.g.NumNodes(), k2.residual_mass);
-  PushWorkspace cold;
-  KernelResult k3 = ForwardPushKernelFast(bg.g, bg.paul, opts, cold);
-  PushResult r3 = ExportDensePush(cold, bg.g.NumNodes(), k3.residual_mass);
-  EXPECT_EQ(k1.pushes, k2.pushes);
-  EXPECT_EQ(k1.pushes, k3.pushes);
-  for (NodeId v = 0; v < bg.g.NumNodes(); ++v) {
-    EXPECT_EQ(r1.estimate[v], r2.estimate[v]);
-    EXPECT_EQ(r1.residual[v], r2.residual[v]);
-    EXPECT_EQ(r1.estimate[v], r3.estimate[v]);
-    EXPECT_EQ(r1.residual[v], r3.residual[v]);
-  }
-}
-
-TEST(FastKernelTest, BatchColumnsAgreeWithSingleTargetAndSatisfyEq4) {
-  Rng rng(61);
-  test::RandomHin rh = test::MakeRandomHin(rng, 10, 30, 3, 6);
-  PprOptions opts;
-  opts.epsilon = 1e-8;
-  std::vector<NodeId> targets = {rh.items[0], rh.items[3], rh.items[7],
-                                 rh.items[11]};
-  PushWorkspace ws;
-  BatchPushStats stats;
-  std::vector<PushResult> dense;
-  std::vector<SparseVector> cols =
-      ReversePushBatchKernel(rh.g, targets, opts, ws, &stats, &dense);
-  ASSERT_EQ(cols.size(), targets.size());
-  ASSERT_EQ(dense.size(), targets.size());
-  EXPECT_GT(stats.node_pops, 0u);
-  EXPECT_GE(stats.column_pushes, stats.node_pops);
-
-  PushWorkspace single_ws;
-  for (size_t c = 0; c < targets.size(); ++c) {
-    // Each column is a valid Eq. 4 state of its own.
-    EXPECT_TRUE(
-        check::ValidateReversePushInvariant(rh.g, targets[c], dense[c], opts)
-            .ok())
-        << "column " << c;
-    // The compacted column is the dense column.
-    for (NodeId s = 0; s < rh.g.NumNodes(); ++s) {
-      EXPECT_EQ(cols[c].Get(s), dense[c].estimate[s]);
-    }
-    // Two valid epsilon-approximations of the same PPR column may differ,
-    // but only within the push error bound (~epsilon/alpha per source).
-    ReversePushKernelFast(rh.g, targets[c], opts, single_ws);
-    for (NodeId s = 0; s < rh.g.NumNodes(); ++s) {
-      EXPECT_NEAR(single_ws.Estimate(s), dense[c].estimate[s],
-                  20.0 * opts.epsilon)
-          << "target " << targets[c] << " source " << s;
-    }
-  }
-
-  // Degenerate batch shapes.
-  EXPECT_TRUE(ReversePushBatchKernel(rh.g, {}, opts, ws).empty());
-  std::vector<SparseVector> one =
-      ReversePushBatchKernel(rh.g, {targets[0]}, opts, ws);
-  ASSERT_EQ(one.size(), 1u);
-  for (NodeId s = 0; s < rh.g.NumNodes(); ++s) {
-    EXPECT_NEAR(one[0].Get(s), dense[0].estimate[s], 20.0 * opts.epsilon);
-  }
-}
-
-TEST(FastKernelTest, BatchColumnsAreExactAndEqualOnBothExportPaths) {
-  // The batch compacts its columns in node-id order either by sweeping the
-  // node ids (a push touching a large share of the graph) or by sorting
-  // the touched ids. Appending isolated nodes leaves the traversal as it
-  // was but pushes the touched share under the sweep cut, so both paths
-  // must export the same columns: sorted, zero-free, exactly sized, and
-  // equal to the dense export.
-  Rng rng(67);
-  test::RandomHin rh = test::MakeRandomHin(rng, 10, 30, 3, 6);
-  PprOptions opts;
-  opts.epsilon = 1e-6;
-  std::vector<NodeId> targets = {rh.items[1], rh.items[4], rh.items[9]};
-  PushWorkspace ws;
-  std::vector<PushResult> dense;
-  std::vector<SparseVector> swept =
-      ReversePushBatchKernel(rh.g, targets, opts, ws, nullptr, &dense);
-  ASSERT_GE(ws.touched().size() * 16, rh.g.NumNodes());
-
-  HinGraph padded = rh.g;
-  const size_t base_nodes = padded.NumNodes();
-  while (padded.NumNodes() < 32 * base_nodes) padded.AddNode(rh.item_type);
-  std::vector<SparseVector> sorted =
-      ReversePushBatchKernel(padded, targets, opts, ws);
-  ASSERT_LT(ws.touched().size() * 16, padded.NumNodes());
-
-  ASSERT_EQ(swept.size(), targets.size());
-  ASSERT_EQ(sorted.size(), targets.size());
-  for (size_t c = 0; c < targets.size(); ++c) {
-    const SparseVector& col = swept[c];
-    EXPECT_EQ(col.ids().capacity(), col.ids().size()) << "column " << c;
-    EXPECT_EQ(col.values().capacity(), col.values().size()) << "column " << c;
-    for (size_t i = 0; i < col.size(); ++i) {
-      EXPECT_NE(col.values()[i], 0.0);
-      if (i > 0) {
-        EXPECT_LT(col.ids()[i - 1], col.ids()[i]);
-      }
-    }
-    for (NodeId s = 0; s < base_nodes; ++s) {
-      EXPECT_EQ(col.Get(s), dense[c].estimate[s]);
-    }
-    EXPECT_EQ(sorted[c].ids(), col.ids()) << "column " << c;
-    EXPECT_EQ(sorted[c].values(), col.values()) << "column " << c;
-    EXPECT_EQ(sorted[c].ids().capacity(), sorted[c].ids().size());
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Priority frontier unit tests (PushPriorityView): round ordering,
-// promotion, cost normalization, and the sub-epsilon floor shift.
-
-TEST(PriorityFrontierTest, DrainsHighestBucketFirst) {
-  PushWorkspace ws;
-  ws.Begin(16);
-  PushPriorityView pq(ws, /*epsilon=*/1e-9);
-  pq.Push(1, 1e-6, 1.0);
-  pq.Push(2, 1.0, 1.0);
-  pq.Push(3, 1e-3, 1.0);
-  EXPECT_EQ(pq.Pop(), 2u);
-  EXPECT_EQ(pq.Pop(), 3u);
-  EXPECT_EQ(pq.Pop(), 1u);
-  EXPECT_EQ(pq.Pop(), graph::kInvalidNode);
-}
-
-TEST(PriorityFrontierTest, PromotionJumpsTheRoundQueue) {
-  PushWorkspace ws;
-  ws.Begin(16);
-  PushPriorityView pq(ws, 1e-9);
-  pq.Push(1, 1e-6, 1.0);
-  pq.Push(2, 1.0, 1.0);
-  EXPECT_EQ(pq.Pop(), 2u);  // round tau is now ~1.0's bucket floor
-  // A key at/above tau enters the live ring directly instead of waiting
-  // for its bucket's round.
-  pq.Push(3, 2.0, 1.0);
-  EXPECT_EQ(pq.Pop(), 3u);
-  EXPECT_EQ(pq.Pop(), 1u);
-  EXPECT_EQ(pq.Pop(), graph::kInvalidNode);
-}
-
-TEST(PriorityFrontierTest, PromotedNodeLeavesStaleBucketEntryBehind) {
-  PushWorkspace ws;
-  ws.Begin(16);
-  PushPriorityView pq(ws, 1e-9);
-  pq.Push(1, 1e-6, 1.0);  // filed low
-  pq.Push(2, 1.0, 1.0);
-  EXPECT_EQ(pq.Pop(), 2u);
-  pq.Push(1, 2.0, 1.0);  // promoted: ring now, bucket entry goes stale
-  EXPECT_EQ(pq.Pop(), 1u);
-  // The stale low-bucket entry must not produce a second pop of node 1.
-  EXPECT_EQ(pq.Pop(), graph::kInvalidNode);
-}
-
-TEST(PriorityFrontierTest, CostNormalizationOrdersByMagnitudePerCost) {
-  PushWorkspace ws;
-  ws.Begin(16);
-  PushPriorityView pq(ws, 1e-9);
-  // Node 1 has the larger raw magnitude but a hub-sized cost; its key
-  // 1.0/1024 loses to node 2's 0.5/1.
-  pq.Push(1, 1.0, 1024.0);
-  pq.Push(2, 0.5, 1.0);
-  EXPECT_EQ(pq.Pop(), 2u);
-  EXPECT_EQ(pq.Pop(), 1u);
-}
-
-TEST(PriorityFrontierTest, SubEpsilonKeysStillDiscriminate) {
-  // kPriorityFloorShift binades below epsilon stay ordered — dynamic
-  // repair seeds high-degree nodes whose keys sit below epsilon, and they
-  // must still drain best-first rather than collapse into one bucket.
-  constexpr double kEps = 1e-9;
-  PushWorkspace ws;
-  ws.Begin(16);
-  PushPriorityView pq(ws, kEps);
-  pq.Push(1, kEps / 16.0, 1.0);
-  pq.Push(2, kEps / 4.0, 1.0);
-  pq.Push(3, kEps * std::pow(2.0, -20), 1.0);  // below the floor: clamps
-  EXPECT_EQ(pq.Pop(), 2u);
-  EXPECT_EQ(pq.Pop(), 1u);
-  EXPECT_EQ(pq.Pop(), 3u);  // clamped, but never lost
-  EXPECT_EQ(pq.Pop(), graph::kInvalidNode);
-}
-
-TEST(PriorityFrontierTest, PopClearsStateSoNodesCanReenter) {
-  PushWorkspace ws;
-  ws.Begin(16);
-  PushPriorityView pq(ws, 1e-9);
-  pq.Push(1, 1.0, 1.0);
-  EXPECT_EQ(pq.Pop(), 1u);
-  // Popped nodes shed both the ring flag and the defer flag, so a later
-  // relaxation can re-file them.
-  pq.Push(1, 1e-4, 1.0);
-  EXPECT_EQ(pq.Pop(), 1u);
-  EXPECT_EQ(pq.Pop(), graph::kInvalidNode);
+  PushResult base_repair = repair(plain);
+  PushResult guarded_repair = repair(guarded);
+  EXPECT_EQ(guarded_repair.estimate, base_repair.estimate);
+  EXPECT_EQ(guarded_repair.residual, base_repair.residual);
 }
 
 }  // namespace

@@ -109,27 +109,6 @@ void AddObsFlags(FlagParser* parser) {
                   "");
 }
 
-/// Push-engine selection shared by the query subcommands. `fast` gives up
-/// bitwise replay against the FIFO `kernel` schedule for throughput on
-/// push-bound rows (docs/performance.md has the contract).
-void AddEngineFlag(FlagParser* parser) {
-  parser->AddFlag("push-engine", "PPR push schedule: kernel | fast",
-                  "kernel");
-}
-
-Status ApplyEngineFlag(const FlagParser& parser,
-                       explain::EmigreOptions* opts) {
-  std::string name = parser.GetString("push-engine").ValueOrDie();
-  if (name == "kernel") {
-    opts->rec.ppr.engine = ppr::PushEngine::kKernel;
-  } else if (name == "fast") {
-    opts->rec.ppr.engine = ppr::PushEngine::kFast;
-  } else {
-    return Status::InvalidArgument("unknown --push-engine " + name);
-  }
-  return Status::OK();
-}
-
 /// Captures a registry baseline at construction; Finish() prints and/or
 /// writes the delta accumulated since then, so the output reflects only this
 /// command's work. Call Finish on every post-query exit path (found and
@@ -635,8 +614,6 @@ int RecommendOn(const G& g, const FlagParser& parser) {
   Result<explain::EmigreOptions> optsr = QueryOptionsFor(g);
   if (!optsr.ok()) return Fail(optsr.status());
   explain::EmigreOptions opts = std::move(optsr).value();
-  Status st = ApplyEngineFlag(parser, &opts);
-  if (!st.ok()) return Fail(st);
   int64_t user = parser.GetInt("user").ValueOrDie();
   if (user < 0 || !g.IsValidNode(static_cast<graph::NodeId>(user))) {
     return Fail(Status::InvalidArgument("--user must be a valid node id"));
@@ -660,7 +637,6 @@ int RunRecommend(const std::vector<std::string>& args) {
   parser.AddFlag("graph", "graph file or CSR snapshot", "");
   parser.AddFlag("user", "user node id", "-1");
   parser.AddFlag("top", "list length", "10");
-  AddEngineFlag(&parser);
   AddObsFlags(&parser);
   Status st = parser.Parse(args);
   if (!st.ok()) return Fail(st);
@@ -681,8 +657,6 @@ int ExplainOn(const G& g, const FlagParser& parser) {
   Result<explain::EmigreOptions> optsr = QueryOptionsFor(g);
   if (!optsr.ok()) return Fail(optsr.status());
   explain::EmigreOptions opts = std::move(optsr).value();
-  Status st = ApplyEngineFlag(parser, &opts);
-  if (!st.ok()) return Fail(st);
   opts.test_threads =
       static_cast<size_t>(parser.GetInt("test-threads").ValueOrDie());
   graph::NodeId user =
@@ -762,7 +736,6 @@ int RunExplain(const std::vector<std::string>& args) {
                  "candidate-verification threads (1=serial, 0=all cores); "
                  "deterministic at any setting, see docs/parallelism.md",
                  "1");
-  AddEngineFlag(&parser);
   AddObsFlags(&parser);
   Status st = parser.Parse(args);
   if (!st.ok()) return Fail(st);
@@ -790,7 +763,6 @@ int RunExperiment(const std::vector<std::string>& args) {
                  "(1=serial, 0=all cores); the runner caps scenario workers "
                  "so the product stays within the machine",
                  "1");
-  AddEngineFlag(&parser);
   AddObsFlags(&parser);
   Status st = parser.Parse(args);
   if (!st.ok()) return Fail(st);
@@ -803,8 +775,6 @@ int RunExperiment(const std::vector<std::string>& args) {
   Result<explain::EmigreOptions> optsr = QueryOptionsFor(g);
   if (!optsr.ok()) return Fail(optsr.status());
   explain::EmigreOptions opts = std::move(optsr).value();
-  st = ApplyEngineFlag(parser, &opts);
-  if (!st.ok()) return Fail(st);
   opts.deadline_seconds = parser.GetDouble("deadline").ValueOrDie();
   opts.test_threads =
       static_cast<size_t>(parser.GetInt("test-threads").ValueOrDie());
@@ -858,7 +828,6 @@ int RunSelfCheck(const std::vector<std::string>& args) {
   parser.AddFlag("samples", "sampled sources/targets per PPR suite", "3");
   parser.AddFlag("edits", "random edge edits exercised", "3");
   parser.AddFlag("seed", "sampling seed", "20240416");
-  AddEngineFlag(&parser);
   AddObsFlags(&parser);
   Status st = parser.Parse(args);
   if (!st.ok()) return Fail(st);
@@ -869,8 +838,6 @@ int RunSelfCheck(const std::vector<std::string>& args) {
   Result<explain::EmigreOptions> optsr = QueryOptionsFor(g);
   if (!optsr.ok()) return Fail(optsr.status());
   explain::EmigreOptions opts = std::move(optsr).value();
-  st = ApplyEngineFlag(parser, &opts);
-  if (!st.ok()) return Fail(st);
 
   check::SelfCheckOptions sc;
   std::string level = parser.GetString("level").ValueOrDie();
@@ -906,7 +873,6 @@ int RunChaos(const std::vector<std::string>& args) {
   parser.AddFlag("items", "synthetic dataset items", "400");
   parser.AddFlag("test-threads",
                  "candidate-verification threads during the soak", "2");
-  AddEngineFlag(&parser);
   AddObsFlags(&parser);
   Status st = parser.Parse(args);
   if (!st.ok()) return Fail(st);
@@ -936,8 +902,6 @@ int RunChaos(const std::vector<std::string>& args) {
   }
   opts.add_edge_type = lite->graph.FindEdgeType("rated");
   opts.deadline_seconds = 2.0;
-  st = ApplyEngineFlag(parser, &opts);
-  if (!st.ok()) return Fail(st);
 
   ObsSession obs(parser);
   if (!obs.init_status().ok()) return Fail(obs.init_status());

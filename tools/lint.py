@@ -33,8 +33,10 @@ Rules (each can be suppressed per line with a trailing `NOLINT` or
                    location (docs/observability.md).
   metric-catalog   every literal EMIGRE_COUNTER / EMIGRE_GAUGE /
                    EMIGRE_HISTOGRAM name in src/ has an entry in the
-                   metric catalog table of docs/observability.md, so the
-                   documented catalog covers every registered metric.
+                   metric catalog table of docs/observability.md, and
+                   every name in that table is registered by such a
+                   literal in src/, so the documented catalog and the
+                   registered metrics match in both directions.
   ondisk-assert    every struct named *OnDisk in src/ (the serialized
                    layouts of emigre.bin.v1 / emigre.csr.v1,
                    docs/data_format.md) is static_assert-ed on exact
@@ -555,18 +557,20 @@ CATALOG_NAME_RE = re.compile(r"`([a-z0-9_./]+)`")
 
 
 def catalog_names(text):
-    """Names in the first column of the metric catalog table: the section
-    under CATALOG_HEADING, up to the next `## ` heading."""
-    names = set()
+    """Names in the first column of the metric catalog table (the section
+    under CATALOG_HEADING, up to the next `## ` heading), each mapped to the
+    1-based line of its row."""
+    names = {}
     in_section = False
-    for line in text.split("\n"):
+    for lineno, line in enumerate(text.split("\n"), 1):
         if line.startswith("## "):
             in_section = line.strip() == CATALOG_HEADING
             continue
         if in_section and line.startswith("|"):
             cells = line.split("|")
             if len(cells) > 1:
-                names.update(CATALOG_NAME_RE.findall(cells[1]))
+                for name in CATALOG_NAME_RE.findall(cells[1]):
+                    names.setdefault(name, lineno)
     return names
 
 
@@ -575,7 +579,9 @@ def check_metric_catalog(root, seen_obs_names, violations):
     exact entry in the catalog table of docs/observability.md, so a reader
     of the catalog sees every series a trace or bench document can carry.
     Spans are not metrics and are exempt; a deliberate omission carries
-    NOLINT(metric-catalog) on the declaring line."""
+    NOLINT(metric-catalog) on the declaring line. In reverse, every catalog
+    entry must be registered by a literal metric in src/, so a retired
+    metric cannot stay documented."""
     try:
         with open(os.path.join(root, CATALOG_DOC), encoding="utf-8") as f:
             documented = catalog_names(f.read())
@@ -590,6 +596,16 @@ def check_metric_catalog(root, seen_obs_names, violations):
             path, line, "metric-catalog",
             f'EMIGRE_{kind} "{name}" has no entry in the metric catalog of '
             f"{CATALOG_DOC}; document it (name, kind, unit, meaning)"))
+    registered = {name for name, (path, _, kind, _) in seen_obs_names.items()
+                  if kind != "SPAN" and path.startswith("src/")}
+    for name, line in sorted(documented.items()):
+        if name in registered:
+            continue
+        violations.append(Violation(
+            CATALOG_DOC, line, "metric-catalog",
+            f'catalog entry "{name}" is not registered by a literal '
+            f"EMIGRE_COUNTER / EMIGRE_GAUGE / EMIGRE_HISTOGRAM in src/; "
+            f"remove the stale row or re-add the metric"))
 
 
 def check_bench_metrics(relpath, text, violations):
@@ -818,14 +834,20 @@ def self_test_fault_catalog():
 
 def self_test_metric_catalog():
     """A src/ metric missing from the catalog table fires; a documented one,
-    a span, and a NOLINT(metric-catalog) declaration do not."""
+    a span, and a NOLINT(metric-catalog) declaration do not. In reverse, a
+    catalog row whose name no src/ literal registers fires (a name only a
+    bench registers included); rows of registered names do not."""
     failures = 0
     doc = ("# Observability\n\n## Metric catalog\n\n"
            "| name | kind | unit | meaning |\n|---|---|---|---|\n"
            "| `known.calls` / `known.pushes` | counter | calls | known |\n"
+           "| `retired.pushes` | counter | pushes | gone from src/ |\n"
+           "| `bench.only` | gauge | s | registered by a bench |\n"
            "\n## Elsewhere\n\nMentions `prose.only` outside the table.\n")
+    bench = 'void B() { EMIGRE_GAUGE("bench.only").Set(1.0); }\n'
     src = ('void F() {\n'
            '  EMIGRE_COUNTER("known.calls").Increment();\n'
+           '  EMIGRE_COUNTER("known.pushes").Increment();\n'
            '  EMIGRE_GAUGE("ghost.depth").Set(1.0);\n'
            '  EMIGRE_COUNTER("prose.only").Increment();\n'
            '  EMIGRE_SPAN("some.span");\n'
@@ -833,28 +855,33 @@ def self_test_metric_catalog():
            '  // NOLINT(metric-catalog)\n'
            '}\n')
     with tempfile.TemporaryDirectory() as tmp:
-        os.makedirs(os.path.join(tmp, "docs"), exist_ok=True)
-        os.makedirs(os.path.join(tmp, "src/obs"), exist_ok=True)
-        with open(os.path.join(tmp, CATALOG_DOC), "w",
-                  encoding="utf-8") as f:
-            f.write(doc)
-        with open(os.path.join(tmp, "src/obs/user.cc"), "w",
-                  encoding="utf-8") as f:
-            f.write(src)
+        for sub in ("docs", "src/obs", "bench"):
+            os.makedirs(os.path.join(tmp, sub), exist_ok=True)
+        for rel, content in ((CATALOG_DOC, doc), ("src/obs/user.cc", src),
+                             ("bench/bench_user.cc", bench)):
+            with open(os.path.join(tmp, rel), "w", encoding="utf-8") as f:
+                f.write(content)
         violations = []
         seen = {}
         for rel in collect_files(tmp, []):
             lint_file(tmp, rel, {}, seen)
         check_metric_catalog(tmp, seen, violations)
-        fired = sorted(v.message.split('"')[1] for v in violations
-                       if v.rule == "metric-catalog")
-        if fired != ["ghost.depth", "prose.only"]:
-            print("SELF-TEST FAIL: metric-catalog flagged "
-                  f"{fired}, expected ['ghost.depth', 'prose.only']")
+        fired = [v for v in violations if v.rule == "metric-catalog"]
+        undocumented = sorted(v.message.split('"')[1] for v in fired
+                              if v.path != CATALOG_DOC)
+        stale = sorted(v.message.split('"')[1] for v in fired
+                       if v.path == CATALOG_DOC)
+        if undocumented != ["ghost.depth", "prose.only"]:
+            print("SELF-TEST FAIL: metric-catalog flagged undocumented "
+                  f"{undocumented}, expected ['ghost.depth', 'prose.only']")
+            failures += 1
+        if stale != ["bench.only", "retired.pushes"]:
+            print("SELF-TEST FAIL: metric-catalog flagged stale rows "
+                  f"{stale}, expected ['bench.only', 'retired.pushes']")
             failures += 1
     if not failures:
         print("self-test ok: metric-catalog fired on undocumented names "
-              "only")
+              "and stale catalog rows only")
     return failures
 
 
