@@ -126,8 +126,9 @@ int main() {
       "graph I/O: CSV parse vs emigre.bin.v1 vs mmap CSR snapshot", config);
   const int iters = config.scale == 0 ? 3 : 6;
 
-  // --- Workspace: generate the medium dataset once in all three encodings.
-  const std::string work = "/tmp/emigre_bench_graph_io";
+  // --- Scratch directory next to the metrics doc (removed at exit):
+  // generate the medium dataset once in all three encodings.
+  const std::string work = bench::BenchOutputPath("emigre_bench_graph_io");
   std::error_code ec;
   std::filesystem::remove_all(work, ec);
   std::filesystem::create_directories(work + "/csv");

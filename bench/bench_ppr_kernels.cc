@@ -1,5 +1,5 @@
-// Push schedules measured and ASSERTED: the dense FIFO loops and the
-// sparse FIFO repair of DynamicForwardPush — the perf contract of
+// Push schedules measured and ASSERTED: the dense FIFO static pushes and
+// the seeded repair of DynamicForwardPush — the perf contract of
 // docs/performance.md.
 //
 // Two workloads on a medium synthetic Amazon graph:
@@ -7,20 +7,18 @@
 //             at a sweep of epsilons, reported with their push counts as
 //             context for the repair rows.
 //   repair  — the candidate-TEST cycle the dynamic-push tester runs:
-//             remove / re-add a user edge and repair the push state, swept
-//             over epsilons. The dense reference refine pays an O(n) seed
-//             scan plus a dense queued array PER CANDIDATE; the sparse
-//             refine seeds from the repaired row only, so where repairs are
-//             local it must win outright.
+//             remove / re-add a user edge and bring the push state up to
+//             date, swept over epsilons. One leg repairs the state in place
+//             (the refine is seeded from the repaired row); the other
+//             recomputes ForwardPush from scratch after every edit.
 //
 // The guarantees are checked, not just reported — any violation exits 1:
-//   1. Correctness: sparse repair states equal the dense refine's bit for
-//      bit (same schedule, same float-op order).
-//   2. Zero O(n) work after warm-up: no dense reset once the workspace
-//      reached graph size.
-//   3. The sparse repair is strictly faster than the dense refine on the
-//      local-repair rows and their aggregate, and never beyond noise of it
-//      on push-bound rows.
+//   1. Correctness: the final state of every source, in both legs,
+//      satisfies Eq. 3 on the edited graph and is terminated (no residual
+//      at or above its push threshold).
+//   2. The repair is strictly faster than recomputing on the local-repair
+//      rows and their aggregate, and never beyond noise of it on push-bound
+//      rows.
 
 #include <algorithm>
 #include <cstdint>
@@ -28,13 +26,13 @@
 #include <string>
 #include <vector>
 
+#include "check/invariants.h"
 #include "common.h"
 #include "obs/metrics.h"
 #include "ppr/dynamic.h"
 #include "ppr/forward_push.h"
 #include "ppr/options.h"
 #include "ppr/reverse_push.h"
-#include "ppr/workspace.h"
 #include "util/string_util.h"
 #include "util/table.h"
 #include "util/timer.h"
@@ -45,13 +43,15 @@ using namespace emigre;
 
 struct SweepRow {
   std::string label;
-  bool has_kernel = false;  ///< repair rows: the sparse FIFO refine
-  double dense_seconds = 0.0;
-  double kernel_seconds = 0.0;
+  bool is_repair = false;
+  /// Static rows: the dense push. Repair rows: recomputing ForwardPush from
+  /// scratch after every edit.
+  double full_seconds = 0.0;
+  double repair_seconds = 0.0;  ///< repair rows: the seeded refine
   size_t work = 0;  ///< FIFO pushes (static rows) or repairs
 
   double Speedup() const {
-    return kernel_seconds > 0.0 ? dense_seconds / kernel_seconds : 1.0;
+    return repair_seconds > 0.0 ? full_seconds / repair_seconds : 1.0;
   }
 };
 
@@ -76,7 +76,7 @@ int main() {
     config.gen.num_items = 24000;
     config.gen.num_categories = 96;
   }
-  bench::PrintBenchHeader("Push schedules: dense, sparse repair", config);
+  bench::PrintBenchHeader("Push schedules: dense, seeded repair", config);
 
   auto lite = bench::BuildBenchGraph(config);
   lite.status().CheckOK();
@@ -102,14 +102,7 @@ int main() {
   const size_t rounds = 3;
   bool ok = true;
 
-  ppr::PushWorkspace ws;
   ppr::PprOptions base_ppr;
-
-  // Timed sweeps on a warm workspace: from here on a single dense reset is
-  // a regression.
-  ws.Begin(n);
-  const size_t resets_after_warmup = ws.stats().dense_resets;
-  const size_t begins_after_warmup = ws.stats().begins;
   std::vector<SweepRow> rows;
   for (double eps : epsilons) {
     ppr::PprOptions opts = base_ppr;
@@ -124,10 +117,10 @@ int main() {
       for (size_t r = 0; r < reps; ++r) {
         for (graph::NodeId s : sources) ppr::ForwardPush(g, s, opts);
       }
-      fwd.dense_seconds = round == 0
-                              ? timer.ElapsedSeconds()
-                              : std::min(fwd.dense_seconds,
-                                         timer.ElapsedSeconds());
+      fwd.full_seconds = round == 0
+                             ? timer.ElapsedSeconds()
+                             : std::min(fwd.full_seconds,
+                                        timer.ElapsedSeconds());
       if (round == 0) fwd.work = CounterValue("ppr.flp.pushes") - flp_before;
 
       const uint64_t rlp_before = CounterValue("ppr.rlp.pushes");
@@ -135,10 +128,10 @@ int main() {
       for (size_t r = 0; r < reps; ++r) {
         for (graph::NodeId t : targets) ppr::ReversePush(g, t, opts);
       }
-      rev.dense_seconds = round == 0
-                              ? timer.ElapsedSeconds()
-                              : std::min(rev.dense_seconds,
-                                         timer.ElapsedSeconds());
+      rev.full_seconds = round == 0
+                             ? timer.ElapsedSeconds()
+                             : std::min(rev.full_seconds,
+                                        timer.ElapsedSeconds());
       if (round == 0) rev.work = CounterValue("ppr.rlp.pushes") - rlp_before;
     }
     rows.push_back(fwd);
@@ -146,19 +139,19 @@ int main() {
   }
 
   // The candidate-TEST repair cycle, on separate mutable copies so both
-  // refines see identical adjacency orders (HinGraph re-adds append).
+  // legs see identical adjacency orders (HinGraph re-adds append). Both legs
+  // construct the DynamicForwardPush (its initial push is part of a
+  // tester's cost); then one repairs after every edit and the other
+  // recomputes ForwardPush from scratch.
   //
-  // Swept over epsilons because the refines differ in the O(n) part, not
-  // the push part. At moderate epsilon a repair is LOCAL — a handful of
-  // pushes — so the dense refine's O(n) seed scan and per-repair dense
-  // `queued` allocation dominate its cost, and the sparse refine (seeded
-  // from the repaired row on the reusable ring) must win outright. Those
-  // rows carry the strict perf assertion; this is exactly the
-  // per-candidate O(n) the workspace deletes. At the tight eval epsilon
-  // the repair is re-push-bound (both refines execute the bitwise-identical
-  // schedule), so that row is context only, guarded against gross
+  // Swept over epsilons. At moderate epsilon a repair is LOCAL — a handful
+  // of pushes from the repaired row — while a recomputation redoes the
+  // whole push, so the repair must win outright: those rows carry the
+  // strict assertion. At the tight eval epsilon a repair cascades through
+  // much of the graph; that row is context only, guarded against gross
   // regression.
-  double repair_dense_asserted = 0.0, repair_kernel_asserted = 0.0;
+  double recompute_asserted = 0.0, repair_asserted = 0.0;
+  size_t num_repairs = 0;
   {
     // Rows 1e-4/1e-5 are the local-repair regime (strict assertion); tighter
     // rows are push-bound on graphs this size and only noise-guarded.
@@ -175,10 +168,9 @@ int main() {
       ppr::PprOptions opts = base_ppr;
       opts.epsilon = eps;
 
-      SweepRow rep{StrFormat("repair eps=%g", eps), /*has_kernel=*/true};
-      std::vector<std::vector<double>> final_dense, final_kernel;
+      SweepRow rep{StrFormat("repair eps=%g", eps), /*is_repair=*/true};
       for (size_t round = 0; round < rounds; ++round) {
-        for (bool kernel : {false, true}) {
+        for (bool repair : {false, true}) {
           graph::HinGraph mg = g;
           WallTimer timer;
           double seconds = 0.0;
@@ -191,103 +183,111 @@ int main() {
             std::vector<graph::Edge> row(row_view.begin(), row_view.end());
             if (row.size() > 8) row.resize(8);
             timer.Reset();
-            ppr::DynamicForwardPush<graph::HinGraph> dyn(
-                mg, u, opts, kernel ? &ws : nullptr);
+            ppr::DynamicForwardPush<graph::HinGraph> dyn(mg, u, opts);
+            ppr::PushResult recomputed;
+            auto edit = [&](auto&& mutate) {
+              if (repair) dyn.BeforeOutEdgeChange(u);
+              mutate();
+              if (repair) {
+                dyn.AfterOutEdgeChange(u);
+                if (round == 0) rep.work += 1;
+              } else {
+                recomputed = ppr::ForwardPush(mg, u, opts);
+              }
+            };
             for (size_t r = 0; r < repair_reps; ++r) {
               for (const graph::Edge& e : row) {
-                dyn.BeforeOutEdgeChange(u);
-                mg.RemoveEdge(u, e.node, e.type).CheckOK();
-                dyn.AfterOutEdgeChange(u);
-                if (kernel && round == 0) rep.work += 1;
-                dyn.BeforeOutEdgeChange(u);
-                mg.AddEdge(u, e.node, e.type, e.weight).CheckOK();
-                dyn.AfterOutEdgeChange(u);
-                if (kernel && round == 0) rep.work += 1;
+                edit([&] { mg.RemoveEdge(u, e.node, e.type).CheckOK(); });
+                edit([&] {
+                  mg.AddEdge(u, e.node, e.type, e.weight).CheckOK();
+                });
               }
             }
             seconds += timer.ElapsedSeconds();
             if (round == 0) {
-              (kernel ? final_kernel : final_dense).push_back(dyn.Estimates());
+              const ppr::PushResult& final_state =
+                  repair || row.empty() ? dyn.State() : recomputed;
+              Status st = check::ValidateForwardPushInvariant(
+                  mg, u, final_state, opts);
+              if (st.ok()) {
+                st = check::ValidateForwardPushTerminated(mg, final_state,
+                                                          opts);
+              }
+              if (!st.ok()) {
+                std::fprintf(stderr,
+                             "CORRECTNESS VIOLATION: %s state of source %u "
+                             "(eps %g): %s\n",
+                             repair ? "repaired" : "recomputed", u, eps,
+                             st.ToString().c_str());
+                ok = false;
+              }
             }
           }
-          double& best = kernel ? rep.kernel_seconds : rep.dense_seconds;
+          double& best = repair ? rep.repair_seconds : rep.full_seconds;
           best = round == 0 ? seconds : std::min(best, seconds);
         }
       }
-      if (final_dense != final_kernel) {
-        std::fprintf(stderr,
-                     "EQUIVALENCE VIOLATION: sparse repair states diverged "
-                     "from the dense refine (eps %g)\n", eps);
-        ok = false;
-      }
+      num_repairs += rep.work;
       if (asserted) {
-        repair_dense_asserted += rep.dense_seconds;
-        repair_kernel_asserted += rep.kernel_seconds;
-        if (rep.kernel_seconds >= rep.dense_seconds) {
+        recompute_asserted += rep.full_seconds;
+        repair_asserted += rep.repair_seconds;
+        if (rep.repair_seconds >= rep.full_seconds) {
           std::fprintf(stderr,
-                       "PERF VIOLATION: sparse repair (%.4fs) not faster "
-                       "than the dense O(n) refine (%.4fs) at eps %g\n",
-                       rep.kernel_seconds, rep.dense_seconds, eps);
+                       "PERF VIOLATION: repair (%.4fs) not faster than "
+                       "recomputing from scratch (%.4fs) at eps %g\n",
+                       rep.repair_seconds, rep.full_seconds, eps);
           ok = false;
         }
-      } else {
-        if (rep.kernel_seconds > rep.dense_seconds * 1.25) {
-          // Push-bound row: identical schedules, so anything beyond noise
-          // is workspace bookkeeping overhead creeping into the per-edge
-          // path.
-          std::fprintf(stderr,
-                       "PERF VIOLATION: push-bound repair regressed beyond "
-                       "noise (sparse %.4fs vs dense %.4fs at eps %g)\n",
-                       rep.kernel_seconds, rep.dense_seconds, eps);
-          ok = false;
-        }
+      } else if (rep.repair_seconds > rep.full_seconds * 1.25) {
+        // Push-bound row: anything beyond noise of a full recomputation
+        // means the repair stopped being local.
+        std::fprintf(stderr,
+                     "PERF VIOLATION: push-bound repair regressed beyond "
+                     "noise (repair %.4fs vs recompute %.4fs at eps %g)\n",
+                     rep.repair_seconds, rep.full_seconds, eps);
+        ok = false;
       }
       rows.push_back(rep);
     }
   }
 
-  if (ws.stats().dense_resets != resets_after_warmup) {
-    std::fprintf(stderr,
-                 "WORKSPACE VIOLATION: %zu dense reset(s) after warm-up\n",
-                 ws.stats().dense_resets - resets_after_warmup);
-    ok = false;
-  }
-
-  TextTable table({"workload", "dense", "sparse", "speedup", "work"});
+  TextTable table({"workload", "full push", "repair", "speedup", "work"});
   for (size_t c = 1; c < 5; ++c) table.SetAlign(c, Align::kRight);
   for (const SweepRow& row : rows) {
     std::string tag = row.label;
     std::replace(tag.begin(), tag.end(), ' ', '.');
     obs::Registry& reg = obs::Registry::Global();
     const std::string prefix = "bench.ppr_kernels." + tag;
-    reg.GetGauge(prefix + ".dense_seconds").Set(row.dense_seconds);
-    if (row.has_kernel) {
-      reg.GetGauge(prefix + ".kernel_seconds").Set(row.kernel_seconds);
+    if (row.is_repair) {
+      reg.GetGauge(prefix + ".recompute_seconds").Set(row.full_seconds);
+      reg.GetGauge(prefix + ".repair_seconds").Set(row.repair_seconds);
       reg.GetGauge(prefix + ".speedup").Set(row.Speedup());
+    } else {
+      reg.GetGauge(prefix + ".dense_seconds").Set(row.full_seconds);
     }
-    table.AddRow({row.label, FormatDuration(row.dense_seconds),
-                  row.has_kernel ? FormatDuration(row.kernel_seconds) : "-",
-                  row.has_kernel ? FormatDouble(row.Speedup(), 2) + "x" : "-",
+    table.AddRow({row.label, FormatDuration(row.full_seconds),
+                  row.is_repair ? FormatDuration(row.repair_seconds) : "-",
+                  row.is_repair ? FormatDouble(row.Speedup(), 2) + "x" : "-",
                   std::to_string(row.work)});
   }
   std::printf("%s\n", table.ToString().c_str());
 
-  double repair_speedup = repair_kernel_asserted > 0.0
-                              ? repair_dense_asserted / repair_kernel_asserted
+  double repair_speedup = repair_asserted > 0.0
+                              ? recompute_asserted / repair_asserted
                               : 1.0;
   obs::Registry::Global()
       .GetGauge("bench.ppr_kernels.repair_speedup")
       .Set(repair_speedup);
-  std::printf("candidate-TEST repair %.2fx; %zu workspace refines on a "
+  std::printf("candidate-TEST repair %.2fx over recompute; %zu repairs on a "
               "%zu-node graph\n",
-              repair_speedup, ws.stats().begins - begins_after_warmup, n);
+              repair_speedup, num_repairs, n);
   // The asserted aggregate is the candidate-TEST repair workload (the rows
-  // where the refines differ by an O(n) term).
-  if (repair_kernel_asserted >= repair_dense_asserted) {
+  // where a repair stays local).
+  if (repair_asserted >= recompute_asserted) {
     std::fprintf(stderr,
-                 "PERF VIOLATION: sparse repair aggregate (%.4fs) not "
-                 "faster than dense (%.4fs)\n",
-                 repair_kernel_asserted, repair_dense_asserted);
+                 "PERF VIOLATION: repair aggregate (%.4fs) not faster than "
+                 "recomputing (%.4fs)\n",
+                 repair_asserted, recompute_asserted);
     ok = false;
   }
 

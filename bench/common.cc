@@ -1,7 +1,10 @@
 #include "common.h"
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 
 #include "obs/export.h"
@@ -113,9 +116,9 @@ Result<BenchExperiment> GetOrRunPaperExperiment() {
     experiment.method_names.push_back(m.name);
   }
 
-  const std::string cache_path = StrFormat(
-      "/tmp/emigre_bench_records_%d_%016llx.csv", experiment.config.scale,
-      static_cast<unsigned long long>(ConfigFingerprint(experiment.config)));
+  const std::string cache_path = BenchOutputPath(StrFormat(
+      "emigre_bench_records_%d_%016llx.csv", experiment.config.scale,
+      static_cast<unsigned long long>(ConfigFingerprint(experiment.config))));
 
   bool fresh = std::getenv("EMIGRE_BENCH_FRESH") != nullptr;
   if (!fresh) {
@@ -184,19 +187,31 @@ Result<BenchExperiment> GetOrRunPaperExperiment() {
                                    oracle_result.records.end());
   std::fprintf(stderr, "[bench] experiment took %.1fs; caching to %s\n",
                timer.ElapsedSeconds(), cache_path.c_str());
-  Status st = eval::WriteRecordsCsv(experiment.result, cache_path);
+  // Write under a per-process name and rename into place, so a concurrent
+  // reader never loads a half-written cache.
+  const std::string tmp_path =
+      StrFormat("%s.%ld.tmp", cache_path.c_str(), static_cast<long>(getpid()));
+  Status st = eval::WriteRecordsCsv(experiment.result, tmp_path);
+  std::error_code ec;
+  if (st.ok()) {
+    std::filesystem::rename(tmp_path, cache_path, ec);
+    if (ec) st = Status::Internal("rename failed: " + ec.message());
+  }
   if (!st.ok()) {
+    std::filesystem::remove(tmp_path, ec);
     std::fprintf(stderr, "[bench] cache write failed: %s\n",
                  st.ToString().c_str());
   }
   return experiment;
 }
 
-void WriteBenchMetrics(const std::string& bench_name) {
+std::string BenchOutputPath(const std::string& name) {
   const char* dir = std::getenv("EMIGRE_BENCH_METRICS_DIR");
-  std::string path = StrFormat("%s%sBENCH_%s.json", dir != nullptr ? dir : "",
-                               dir != nullptr ? "/" : "",
-                               bench_name.c_str());
+  return dir != nullptr ? std::string(dir) + "/" + name : name;
+}
+
+void WriteBenchMetrics(const std::string& bench_name) {
+  std::string path = BenchOutputPath("BENCH_" + bench_name + ".json");
   obs::BenchDoc doc;
   doc.bench = bench_name;
   doc.scale = ReadScale();

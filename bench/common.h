@@ -52,12 +52,13 @@ struct BenchExperiment {
   size_t num_scenarios = 0;
 };
 
-/// \brief Runs (or loads from the /tmp cache) the §6.2 experiment:
+/// \brief Runs (or loads from the records cache) the §6.2 experiment:
 /// all eight methods over the sampled users' Why-Not scenarios.
 ///
-/// The records are cached as CSV keyed on the configuration, so the four
-/// figure/table binaries share one run. Set EMIGRE_BENCH_FRESH=1 to ignore
-/// the cache.
+/// The records are cached as CSV keyed on the configuration, at
+/// `BenchOutputPath("emigre_bench_records_<scale>_<fingerprint>.csv")`, so
+/// the four figure/table binaries share one run. Set EMIGRE_BENCH_FRESH=1
+/// to ignore the cache.
 [[nodiscard]] Result<BenchExperiment> GetOrRunPaperExperiment();
 
 /// Builds the Amazon-Lite graph for the current config (used by benches
@@ -68,11 +69,16 @@ Result<data::AmazonLiteGraph> BuildBenchGraph(const BenchConfig& config);
 /// Prints a standard header naming the bench and the scale.
 void PrintBenchHeader(const std::string& title, const BenchConfig& config);
 
+/// The path of `name` in the directory bench outputs go to:
+/// EMIGRE_BENCH_METRICS_DIR when set, else the current directory. Metric
+/// docs, the records cache and scratch files all land there, so runs with
+/// different directories never share a file.
+std::string BenchOutputPath(const std::string& name);
+
 /// Writes the process-wide metrics registry as `BENCH_<name>.json`
 /// (emigre.bench.v1 schema, see docs/observability.md) — the
 /// perf-trajectory record every bench emits on exit, and the input of the
-/// `emigre perfgate` regression gate. Files land in the current directory
-/// unless EMIGRE_BENCH_METRICS_DIR overrides it.
+/// `emigre perfgate` regression gate. The file lands at `BenchOutputPath`.
 void WriteBenchMetrics(const std::string& bench_name);
 
 }  // namespace emigre::bench

@@ -27,6 +27,7 @@
 #include "ppr/options.h"
 #include "recsys/recommender.h"
 #include "util/status.h"
+#include "util/string_util.h"
 
 namespace emigre::check {
 
@@ -235,6 +236,41 @@ template <graph::GraphLike G>
     }
   }
   internal::RecordOutcome("flp", true);
+  return Status::OK();
+}
+
+/// Validates that a forward-push state is terminated: no node v carries a
+/// residual with |r(v)| ≥ ε·max(out_degree(v), 1), the threshold at which
+/// `ForwardPush` and the `DynamicForwardPush` refine push a node. Every
+/// push and refine must end this way. The dynamic repair relies on it: if
+/// every refine terminated, only the nodes a repair writes can be above
+/// threshold at the next repair, so seeding the refine with them enqueues
+/// exactly what a full scan would. Exact, no tolerance: the loops compare
+/// the same quantities.
+template <graph::GraphLike G>
+[[nodiscard]] Status ValidateForwardPushTerminated(
+    const G& g, const ppr::PushResult& state,
+    const ppr::PprOptions& opts = {}) {
+  const size_t n = g.NumNodes();
+  if (state.residual.size() != n) {
+    internal::RecordOutcome("flp_terminated", false);
+    return Status::Internal(
+        "flp termination violated: state sized for " +
+        std::to_string(state.residual.size()) + " nodes, graph has " +
+        std::to_string(n));
+  }
+  for (graph::NodeId v = 0; v < n; ++v) {
+    size_t deg = g.OutDegree(v);
+    double threshold = opts.epsilon * static_cast<double>(deg > 0 ? deg : 1);
+    if (std::abs(state.residual[v]) >= threshold) {
+      internal::RecordOutcome("flp_terminated", false);
+      return Status::Internal(StrFormat(
+          "flp termination violated at node %u: |residual| %.17g >= "
+          "threshold %.17g (epsilon %g x max(degree %zu, 1))",
+          v, std::abs(state.residual[v]), threshold, opts.epsilon, deg));
+    }
+  }
+  internal::RecordOutcome("flp_terminated", true);
   return Status::OK();
 }
 

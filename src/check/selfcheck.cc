@@ -12,7 +12,6 @@
 #include "ppr/dynamic.h"
 #include "ppr/forward_push.h"
 #include "ppr/reverse_push.h"
-#include "ppr/workspace.h"
 #include "util/rng.h"
 
 namespace emigre::check {
@@ -88,30 +87,17 @@ void RunPprSuites(const graph::HinGraph& g,
 
   // FLP identity under dynamic edge updates ([38]): remove then re-add a
   // random out-edge on a mutable copy, repairing the push state in place,
-  // and re-verify Eq. 3 after every repair.
+  // and re-verify Eq. 3 and termination after every repair (the seeded
+  // refine is complete only if every refine terminated).
   graph::HinGraph mutable_g = g;
   graph::NodeId source = PickActiveNode(mutable_g, rng, user_type);
   if (source != graph::kInvalidNode) {
-    // Dense reference refine and workspace-backed sparse refine run the
-    // same edit sequence side by side; Eq. 3 must hold for both after every
-    // repair, and their states must stay bitwise identical.
-    ppr::PushWorkspace ws;
     ppr::DynamicForwardPush<graph::HinGraph> dyn(mutable_g, source, ppr_opts);
-    ppr::DynamicForwardPush<graph::HinGraph> dyn_ws(mutable_g, source,
-                                                    ppr_opts, &ws);
-    auto check_both = [&](const std::string& suite) {
-      ppr::PushResult state{dyn.Estimates(), dyn.Residuals()};
-      Status st = ValidateForwardPushInvariant(mutable_g, source, state,
+    auto validate = [&](const std::string& suite) {
+      Status st = ValidateForwardPushInvariant(mutable_g, source, dyn.State(),
                                                ppr_opts);
       if (st.ok()) {
-        ppr::PushResult ws_state{dyn_ws.Estimates(), dyn_ws.Residuals()};
-        st = ValidateForwardPushInvariant(mutable_g, source, ws_state,
-                                          ppr_opts);
-        if (st.ok() && (ws_state.estimate != state.estimate ||
-                        ws_state.residual != state.residual)) {
-          st = Status::Internal(
-              "workspace-refined state differs from dense refine");
-        }
+        st = ValidateForwardPushTerminated(mutable_g, dyn.State(), ppr_opts);
       }
       Record(report, suite, st);
     };
@@ -121,21 +107,17 @@ void RunPprSuites(const graph::HinGraph& g,
       auto edges = mutable_g.OutEdges(u);
       const graph::Edge picked = edges[rng.NextBounded(edges.size())];
       dyn.BeforeOutEdgeChange(u);
-      dyn_ws.BeforeOutEdgeChange(u);
       Status st = mutable_g.RemoveEdge(u, picked.node, picked.type);
       dyn.AfterOutEdgeChange(u);
-      dyn_ws.AfterOutEdgeChange(u);
       if (st.ok()) {
-        check_both("flp-dynamic(remove " + std::to_string(u) + "->" +
-                   std::to_string(picked.node) + ")");
+        validate("flp-dynamic(remove " + std::to_string(u) + "->" +
+                 std::to_string(picked.node) + ")");
         dyn.BeforeOutEdgeChange(u);
-        dyn_ws.BeforeOutEdgeChange(u);
         st = mutable_g.AddEdge(u, picked.node, picked.type, picked.weight);
         dyn.AfterOutEdgeChange(u);
-        dyn_ws.AfterOutEdgeChange(u);
       }
       if (st.ok()) {
-        check_both("flp-dynamic(re-add)");
+        validate("flp-dynamic(re-add)");
       } else {
         Record(report, "flp-dynamic(edit)",
                Status::Internal("graph edit failed: " + st.message()));

@@ -66,7 +66,9 @@ Explanation RunExhaustive(const G& g, const SearchSpace& space,
   }
 
   // PPR(·, t) per target. The rec column was already computed during the
-  // search-space phase; reuse it.
+  // search-space phase; reuse it. Touching every target first keeps a miss
+  // on one from evicting another this loop reads next.
+  if (cache != nullptr) cache->Touch(t_list);
   const size_t num_targets = t_list.size();
   std::vector<std::vector<double>> ppr_to_t(num_targets);
   for (size_t ti = 0; ti < num_targets; ++ti) {

@@ -9,7 +9,6 @@
 #include "graph/hin_graph.h"
 #include "graph/overlay.h"
 #include "ppr/dynamic.h"
-#include "ppr/workspace.h"
 
 namespace emigre::explain {
 
@@ -63,9 +62,9 @@ graph::NodeId BestItem(const std::vector<graph::NodeId>& items,
 /// single-row repairs instead of a full recomputation.
 ///
 /// The graph view is a `BasicGraphOverlay` over a CSR snapshot (shared from
-/// the facade or built once here); the dynamic push repairs through a
-/// reusable `PushWorkspace` (O(row + pushes) per TEST), and the
-/// eligible-item filter uses the workspace's epoch marks. `Clear()`-based
+/// the facade or built once here); each repair costs O(row + pushes) per
+/// TEST (see `ppr::DynamicForwardPush`), and the eligible-item filter flags
+/// the user's out-neighbors in a reused per-node array. `Clear()`-based
 /// reverts keep the adjacency iteration order fixed across candidates.
 ///
 /// The estimates are ε-accurate rather than exact: two items whose true
@@ -97,8 +96,9 @@ class FastExplanationTesterT : public TesterInterface {
       csr = owned_csr_.get();
     }
     overlay_ = std::make_unique<Overlay>(*csr);
+    neighbors_.assign(csr->NumNodes(), 0);
     dyn_ = std::make_unique<ppr::DynamicForwardPush<Overlay>>(
-        *overlay_, user, opts_.rec.ppr, &ws_);
+        *overlay_, user, opts_.rec.ppr);
   }
 
   bool Test(const std::vector<graph::EdgeRef>& edits, Mode mode,
@@ -129,8 +129,9 @@ class FastExplanationTesterT : public TesterInterface {
       return TestAndRevert(edits, new_rec);
     } catch (const DeadlineExceededError&) {
       // The query deadline fired inside a repair push, unwinding
-      // mid-protocol: mark the state stale so the next TEST (if any — the
-      // search budget normally exits first) rebuilds from the base graph.
+      // mid-protocol; a `DynamicForwardPush` that threw must be rebuilt.
+      // Mark the state stale so the next TEST (if any — the search budget
+      // normally exits first) rebuilds from the base graph.
       // While the deadline stays expired the rebuild itself throws
       // immediately, keeping post-deadline TESTs O(1).
       EMIGRE_COUNTER("explain.tests.dynamic.deadline").Increment();
@@ -182,29 +183,35 @@ class FastExplanationTesterT : public TesterInterface {
 
   /// Reconstructs the dynamic-push state from the base graph after a
   /// deadline unwind left it mid-repair (stale_): dropping the overlay edits
-  /// restores the base view, and the fresh initial push overwrites the
-  /// half-repaired state. Throws `DeadlineExceededError` itself while the
-  /// deadline stays expired, leaving stale_ set for the next attempt.
+  /// restores the base view, and a fresh instance replaces the
+  /// half-repaired state and its refine flags. Throws
+  /// `DeadlineExceededError` itself while the deadline stays expired,
+  /// leaving stale_ set for the next attempt.
   void Rebuild() {
     overlay_->Clear();
     dyn_ = std::make_unique<ppr::DynamicForwardPush<Overlay>>(
-        *overlay_, user_, opts_.rec.ppr, &ws_);
+        *overlay_, user_, opts_.rec.ppr);
     stale_ = false;
   }
 
   /// Argmax of the maintained estimates over eligible items.
   graph::NodeId CurrentTop() {
-    // O(deg) epoch marks over the user's effective out-neighborhood replace
-    // per-item HasEdge probes. The marks share the epoch of the repair that
-    // just ran and stay valid until the next one.
-    overlay_->ForEachOutEdge(
-        user_,
-        [&](graph::NodeId dst, graph::EdgeTypeId, double) { ws_.Mark(dst); });
+    // O(deg) flags over the user's effective out-neighborhood replace
+    // per-item HasEdge probes; they are set here and cleared before return.
+    auto flag_neighbors = [&](char value) {
+      overlay_->ForEachOutEdge(
+          user_, [&](graph::NodeId dst, graph::EdgeTypeId, double) {
+            neighbors_[dst] = value;
+          });
+    };
+    flag_neighbors(1);
     const double floor = opts_.rec.ppr.epsilon * 100.0;
-    return detail::BestItem(
+    graph::NodeId top = detail::BestItem(
         items_, user_, floor,
-        [&](graph::NodeId item) { return !ws_.Marked(item); },
+        [&](graph::NodeId item) { return !neighbors_[item]; },
         [&](graph::NodeId item) { return dyn_->Estimate(item); });
+    flag_neighbors(0);
+    return top;
   }
 
   graph::NodeId user_;
@@ -218,7 +225,9 @@ class FastExplanationTesterT : public TesterInterface {
 
   std::unique_ptr<graph::CsrGraph> owned_csr_;
   std::unique_ptr<Overlay> overlay_;
-  ppr::PushWorkspace ws_;
+  /// Per-node flags of the user's out-neighbors; all clear outside
+  /// `CurrentTop`.
+  std::vector<char> neighbors_;
   std::unique_ptr<ppr::DynamicForwardPush<Overlay>> dyn_;
 };
 

@@ -85,7 +85,9 @@ Result<SearchSpace> BuildRemoveSearchSpace(
   space.rec = rec;
   space.wni = wni;
   // PPR(·, WNI) and PPR(·, rec); rec may be absent (empty initial
-  // recommendation list), in which case its vector is zero.
+  // recommendation list), in which case its vector is zero. Touching both
+  // first keeps a miss on WNI from evicting a resident rec.
+  if (cache != nullptr) cache->Touch({wni, rec});
   space.ppr_to_wni = PprTo(g, wni, opts, cache);
   space.ppr_to_rec = PprTo(g, rec, opts, cache);
 
@@ -120,6 +122,7 @@ Result<SearchSpace> BuildAddSearchSpace(
   space.user = user;
   space.rec = rec;
   space.wni = wni;
+  if (cache != nullptr) cache->Touch({wni, rec});  // as in Remove mode
   space.ppr_to_wni = PprTo(g, wni, opts, cache);
   space.ppr_to_rec = PprTo(g, rec, opts, cache);
   space.tau = ComputeTau(g, user, space.ppr_to_rec, space.ppr_to_wni, opts);

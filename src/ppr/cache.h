@@ -12,7 +12,7 @@
 #include "obs/metrics.h"
 #include "ppr/options.h"
 #include "ppr/reverse_push.h"
-#include "ppr/workspace.h"
+#include "ppr/sparse_vector.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
@@ -83,6 +83,21 @@ class ReversePushCache {
     InstallLocked(target, vector);
     EMIGRE_GAUGE("ppr.cache.bytes").Set(static_cast<double>(bytes_));
     return vector;
+  }
+
+  /// Moves the resident entries among `targets` to the LRU front, in
+  /// order, without fetching or counting anything. A caller about to `Get`
+  /// several targets in a row touches them first, so that, while the
+  /// targets fit in the cache, installing one missed target cannot evict
+  /// another the same fetch reads next.
+  void Touch(const std::vector<graph::NodeId>& targets) {
+    util::MutexLock lock(&mutex_);
+    for (graph::NodeId target : targets) {
+      auto it = index_.find(target);
+      if (it != index_.end()) {
+        lru_.splice(lru_.begin(), lru_, it->second.lru_it);
+      }
+    }
   }
 
   /// Diagnostics.

@@ -2,8 +2,6 @@
 #define EMIGRE_PPR_DYNAMIC_H_
 
 #include <algorithm>
-#include <cmath>
-#include <deque>
 #include <unordered_map>
 #include <vector>
 
@@ -14,8 +12,6 @@
 #include "obs/trace.h"
 #include "ppr/forward_push.h"
 #include "ppr/options.h"
-#include "ppr/workspace.h"
-#include "util/timer.h"
 
 namespace emigre::ppr {
 
@@ -31,50 +27,44 @@ namespace emigre::ppr {
 /// When the out-edge set of a single node u changes, only the row W(u,·)
 /// changes, so the repair touches exactly u's old and new out-neighbors:
 ///   r(v) += (1−α)/α · p(u) · (W′(u,v) − W(u,v)).
-/// Residuals may turn negative after deletions; the refine loop pushes
-/// signed residuals symmetrically.
+/// Residuals may turn negative after deletions; the refine pushes signed
+/// residuals symmetrically.
 ///
-/// Two FIFO refine loops share the arithmetic:
-///  - Dense (no workspace): O(n) scan to seed a `std::deque`, plus an O(n)
-///    `queued` array allocated **per repair**. Kept as the reference the
-///    sparse refine is tested and benchmarked against.
-///  - Sparse (workspace supplied): the refine frontier is seeded from only
-///    the nodes the repair touched ({u} ∪ old row ∪ new row, ascending) and
-///    runs on the workspace's reusable ring buffer, so a repair costs
-///    O(row + pushes) instead of O(n). Valid because every refine leaves all
-///    |residual| below threshold, so after a repair only touched nodes can
-///    exceed it — the seed sets (and therefore the push schedules, and
-///    therefore the floating-point results) of the two loops are
-///    identical.
+/// The refine is `ForwardPush`'s own loop (`detail::ForwardPushLoop`),
+/// seeded with only the nodes the repair wrote ({u} ∪ old row ∪ new row,
+/// ascending) and run on `queued` flags this instance allocates once, so a
+/// repair costs O(row + pushes) instead of O(n). The seed set is complete
+/// because every refine runs to termination (no residual above threshold,
+/// `check::ValidateForwardPushTerminated`): after a repair only the written
+/// nodes can be above threshold — u's threshold moves with its degree —
+/// and, seeded ascending, they enqueue in the order a full scan would.
 ///
 /// Usage: construct over a mutable graph view, then for each edit call
 /// `BeforeOutEdgeChange(u)`, mutate the graph, call `AfterOutEdgeChange(u)`.
+/// The node set must not change. After a `DeadlineExceededError` the state
+/// is unusable: rebuild the instance (the dynamic tester does, through its
+/// stale flag).
 template <graph::GraphLike G>
 class DynamicForwardPush {
  public:
   /// Runs the initial push from `source` over the current state of `g`.
-  /// The referenced graph must outlive this object; so must `workspace`
-  /// when supplied (nullptr selects the dense reference refine). The
-  /// workspace is owned by the caller and is exclusively this object's
-  /// between `AfterOutEdgeChange` calls — do not share one across
-  /// concurrently-repairing instances.
+  /// The referenced graph must outlive this object.
   DynamicForwardPush(const G& g, graph::NodeId source,
-                     const PprOptions& opts = {},
-                     PushWorkspace* workspace = nullptr)
+                     const PprOptions& opts = {})
       : g_(&g),
-        source_(source),
         opts_(opts),
-        ws_(workspace),
-        state_(ForwardPush(g, source, opts)) {}
+        state_(ForwardPush(g, source, opts)),
+        queued_(g.NumNodes(), 0) {}
 
   /// Snapshots the transition row of `u` ahead of an out-edge mutation.
   void BeforeOutEdgeChange(graph::NodeId u) {
-    pending_node_ = u;
     pending_row_ = TransitionRow(u);
   }
 
   /// Repairs the invariant after the out-edges of the node passed to
-  /// `BeforeOutEdgeChange` were mutated, then re-pushes to convergence.
+  /// `BeforeOutEdgeChange` were mutated, then re-pushes to termination.
+  /// Throws `DeadlineExceededError` when `opts.deadline` expires mid-refine,
+  /// after which the instance must be rebuilt.
   void AfterOutEdgeChange(graph::NodeId u) {
     EMIGRE_SPAN("dyn.repair");
     EMIGRE_FAULT_POINT("ppr.dyn.refine");
@@ -87,41 +77,23 @@ class DynamicForwardPush {
         if (auto it = pending_row_.find(v); it != pending_row_.end()) {
           w_old = it->second;
         }
-        double delta = scale * (w_new - w_old);
-        state_.residual[v] += delta;
-        state_.residual_mass += delta;
+        state_.residual[v] += scale * (w_new - w_old);
       }
       for (const auto& [v, w_old] : pending_row_) {
-        if (new_row.count(v) == 0) {
-          double delta = scale * w_old;
-          state_.residual[v] -= delta;
-          state_.residual_mass -= delta;
-        }
+        if (new_row.count(v) == 0) state_.residual[v] -= scale * w_old;
       }
     }
-    if (ws_ != nullptr) {
-      // Only nodes the repair wrote can exceed the threshold (everything
-      // else converged below it in the previous refine); seed ascending to
-      // match the dense full-scan enqueue order exactly.
-      seed_buf_.clear();
-      seed_buf_.push_back(u);
-      for (const auto& [v, w] : pending_row_) seed_buf_.push_back(v);
-      for (const auto& [v, w] : new_row) seed_buf_.push_back(v);
-      std::sort(seed_buf_.begin(), seed_buf_.end());
-      seed_buf_.erase(std::unique(seed_buf_.begin(), seed_buf_.end()),
-                      seed_buf_.end());
-    }
+    std::vector<graph::NodeId> seeds;
+    seeds.reserve(1 + pending_row_.size() + new_row.size());
+    seeds.push_back(u);
+    for (const auto& [v, w] : pending_row_) seeds.push_back(v);
+    for (const auto& [v, w] : new_row) seeds.push_back(v);
+    std::sort(seeds.begin(), seeds.end());
+    seeds.erase(std::unique(seeds.begin(), seeds.end()), seeds.end());
     pending_row_.clear();
-    pending_node_ = graph::kInvalidNode;
-    if (ws_ != nullptr) {
-      RefineSparse();
-    } else {
-      Refine();
-    }
-    ++repairs_since_resync_;
-    if (repairs_since_resync_ >= kResidualMassResyncInterval) {
-      ResyncResidualMass();
-    }
+    detail::PushLoopStats stats =
+        detail::ForwardPushLoop(*g_, opts_, seeds, state_, queued_);
+    EMIGRE_COUNTER("ppr.dyn.refine_pushes").Increment(stats.pushes);
   }
 
   /// Current estimate of PPR(source, t).
@@ -129,37 +101,8 @@ class DynamicForwardPush {
   const std::vector<double>& Estimates() const { return state_.estimate; }
   const std::vector<double>& Residuals() const { return state_.residual; }
 
-  /// The full state (for the Eq. 3 validators).
+  /// The full state (for the Eq. 3 and termination validators).
   const PushResult& State() const { return state_; }
-
-  /// Total absolute residual mass (error bound on the estimates).
-  double AbsResidualMass() const {
-    double total = 0.0;
-    for (double r : state_.residual) total += std::abs(r);
-    return total;
-  }
-
-  /// Incremental `residual_mass` accumulates one float rounding per repair
-  /// update; over thousands of repairs the drift can compound past the
-  /// Eq. 3 tolerance and poison anytime-mode `degraded_gap` reporting.
-  /// Every this-many repairs the signed mass is re-derived from the
-  /// residual vector with one O(n) scan (amortized O(n/interval)).
-  static constexpr size_t kResidualMassResyncInterval = 1024;
-
-  /// Re-derives `residual_mass` from the residual vector now and returns
-  /// the signed drift (incremental − scan) that was discarded. Exposed so
-  /// drift-bound tests can measure accumulation without waiting for the
-  /// periodic trigger.
-  double ResyncResidualMass() {
-    double scan = 0.0;
-    for (double r : state_.residual) scan += r;
-    double drift = state_.residual_mass - scan;
-    state_.residual_mass = scan;
-    repairs_since_resync_ = 0;
-    EMIGRE_COUNTER("ppr.dyn.resyncs").Increment();
-    EMIGRE_GAUGE("ppr.dyn.residual_mass_drift").SetMax(std::abs(drift));
-    return drift;
-  }
 
  private:
   /// Transition probabilities out of u, with the implicit dangling
@@ -178,102 +121,12 @@ class DynamicForwardPush {
     return row;
   }
 
-  double Threshold(graph::NodeId v) const {
-    size_t deg = g_->OutDegree(v);
-    return opts_.epsilon * static_cast<double>(deg > 0 ? deg : 1);
-  }
-
-  /// Shared push body of both refine loops: converts the signed residual
-  /// of `u` into estimate and spreads the remainder. `enqueue(v)` is called
-  /// for every neighbor whose residual changed.
-  template <typename EnqueueFn>
-  bool PushNode(graph::NodeId u, EnqueueFn&& enqueue) {
-    double r = state_.residual[u];
-    if (std::abs(r) < Threshold(u)) return false;
-    state_.residual[u] = 0.0;
-    state_.residual_mass -= r;
-    double out_w = g_->OutWeight(u);
-    if (out_w <= 0.0) {
-      state_.estimate[u] += r;
-      return true;
-    }
-    state_.estimate[u] += opts_.alpha * r;
-    double spread = (1.0 - opts_.alpha) * r / out_w;
-    g_->ForEachOutEdge(u, [&](graph::NodeId v, graph::EdgeTypeId, double w) {
-      state_.residual[v] += spread * w;
-      state_.residual_mass += spread * w;
-      enqueue(v);
-    });
-    return true;
-  }
-
-  /// Dense reference refine over the existing state with signed residuals:
-  /// O(n) scan + per-call dense queued array.
-  void Refine() {
-    const size_t n = g_->NumNodes();
-    std::deque<graph::NodeId> queue;
-    std::vector<char> queued(n, 0);
-    for (graph::NodeId v = 0; v < n; ++v) {
-      if (std::abs(state_.residual[v]) >= Threshold(v)) {
-        queue.push_back(v);
-        queued[v] = 1;
-      }
-    }
-    size_t pushes = 0;
-    while (!queue.empty()) {
-      // Cooperative deadline: no-op unless the caller armed one.
-      if (DeadlineExpired(opts_, pushes)) throw DeadlineExceededError();
-      graph::NodeId u = queue.front();
-      queue.pop_front();
-      queued[u] = 0;
-      if (PushNode(u, [&](graph::NodeId v) {
-            if (!queued[v] && std::abs(state_.residual[v]) >= Threshold(v)) {
-              queued[v] = 1;
-              queue.push_back(v);
-            }
-          })) {
-        ++pushes;
-      }
-    }
-    EMIGRE_COUNTER("ppr.dyn.refine_pushes").Increment(pushes);
-  }
-
-  /// Sparse refine: seeds only from `seed_buf_` (the nodes the repair
-  /// touched) and reuses the workspace ring frontier — O(seeds + pushes).
-  void RefineSparse() {
-    ws_->Begin(g_->NumNodes());
-    PushHotView hot(*ws_);
-    for (graph::NodeId v : seed_buf_) {
-      if (std::abs(state_.residual[v]) >= Threshold(v)) {
-        hot.FrontierPush(v);
-      }
-    }
-    size_t pushes = 0;
-    while (!hot.FrontierEmpty()) {
-      // Cooperative deadline: no-op unless the caller armed one.
-      if (DeadlineExpired(opts_, pushes)) throw DeadlineExceededError();
-      graph::NodeId u = hot.FrontierPop();
-      if (PushNode(u, [&](graph::NodeId v) {
-            if (!hot.InFrontier(v) &&
-                std::abs(state_.residual[v]) >= Threshold(v)) {
-              hot.FrontierPush(v);
-            }
-          })) {
-        ++pushes;
-      }
-    }
-    EMIGRE_COUNTER("ppr.dyn.refine_pushes").Increment(pushes);
-  }
-
   const G* g_;
-  graph::NodeId source_;
   PprOptions opts_;
-  PushWorkspace* ws_;
   PushResult state_;
-  graph::NodeId pending_node_ = graph::kInvalidNode;
+  /// The refine's queued flags: all clear between repairs.
+  std::vector<char> queued_;
   std::unordered_map<graph::NodeId, double> pending_row_;
-  std::vector<graph::NodeId> seed_buf_;
-  size_t repairs_since_resync_ = 0;
 };
 
 }  // namespace emigre::ppr

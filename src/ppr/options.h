@@ -10,10 +10,9 @@ namespace emigre::ppr {
 /// \brief The push schedule: one value, selecting nothing.
 ///
 /// Each push direction has one FIFO schedule. Static pushes run the dense
-/// `ForwardPush`/`ReversePush` loops; `DynamicForwardPush` repairs run a
-/// sparse refine seeded from the repaired row on a reusable
-/// `PushWorkspace` ring (bitwise the dense `Refine()` schedule). The enum
-/// and `PprOptions::engine` remain only because the end-to-end benchmark
+/// `ForwardPush`/`ReversePush` loops; `DynamicForwardPush` repairs run
+/// `ForwardPush`'s loop seeded from the repaired row. The enum and
+/// `PprOptions::engine` remain only because the end-to-end benchmark
 /// (e2ebench/e2e_bench.cc) still assigns the field; both go once it stops.
 enum class PushEngine {
   kKernel,

@@ -45,7 +45,6 @@ PushResult ReversePush(const G& g, graph::NodeId target,
   if (target >= n) return out;
 
   out.residual[target] = 1.0;
-  out.residual_mass = 1.0;
   std::deque<graph::NodeId> queue;
   std::vector<char> queued(n, 0);
   queue.push_back(target);
@@ -63,7 +62,6 @@ PushResult ReversePush(const G& g, graph::NodeId target,
     double r = out.residual[v];
     if (r < opts.epsilon) continue;
     out.residual[v] = 0.0;
-    out.residual_mass -= r;
     ++pushes;
 
     bool dangling = g.OutWeight(v) <= 0.0;
@@ -82,7 +80,6 @@ PushResult ReversePush(const G& g, graph::NodeId target,
       double out_w = g.OutWeight(u);
       if (out_w <= 0.0) return;  // u unreachable as a walk step into v
       out.residual[u] += spread * w / out_w;
-      out.residual_mass += spread * w / out_w;
       if (!queued[u] && out.residual[u] >= opts.epsilon) {
         queued[u] = 1;
         queue.push_back(u);

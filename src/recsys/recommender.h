@@ -7,23 +7,11 @@
 #include "graph/types.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "ppr/forward_push.h"
 #include "ppr/options.h"
 #include "ppr/power_iteration.h"
 #include "recsys/rec_list.h"
 
 namespace emigre::recsys {
-
-/// \brief How candidate items are scored.
-enum class Scorer {
-  /// Exact PPR by power iteration — the reference, used everywhere
-  /// correctness matters (the TEST verifier in particular).
-  kPowerIteration,
-  /// Forward Local Push estimates — cheaper on large graphs, but a lower
-  /// bound of the true PPR whose error can reorder near-tied items. Offered
-  /// for throughput-sensitive serving paths and as an ablation.
-  kForwardPush,
-};
 
 /// \brief Parameters of the PPR recommender (paper Eq. 2).
 struct RecommenderOptions {
@@ -34,9 +22,6 @@ struct RecommenderOptions {
   /// type except those the user already points an edge to (the paper's
   /// `I \ N_out(u)`), and except the user itself.
   graph::NodeTypeId item_type = graph::kInvalidNodeType;
-
-  /// Scoring engine (see Scorer).
-  Scorer scorer = Scorer::kPowerIteration;
 };
 
 /// \brief True if `user` has any out-edge to `node` in the view `g`.
@@ -62,8 +47,9 @@ bool IsCandidateItem(const G& g, graph::NodeId user, graph::NodeId item,
   return !HasOutEdgeTo(g, user, item);
 }
 
-/// \brief Scores every candidate item for `user` with PPR and returns the
-/// full ranking (descending score, id-ascending tie-break).
+/// \brief Scores every candidate item for `user` with exact PPR (power
+/// iteration) and returns the full ranking (descending score, id-ascending
+/// tie-break).
 ///
 /// This is the recommender of paper §3.2: relevance p(u, t) = PPR(u, t),
 /// candidates restricted to items the user has not interacted with, and the
@@ -73,10 +59,7 @@ RecommendationList RankItems(const G& g, graph::NodeId user,
                              const RecommenderOptions& opts) {
   EMIGRE_SPAN("rank");
   EMIGRE_COUNTER("recsys.rank.calls").Increment();
-  std::vector<double> scores =
-      opts.scorer == Scorer::kForwardPush
-          ? ppr::ForwardPush(g, user, opts.ppr).estimate
-          : ppr::PowerIterationPpr(g, user, opts.ppr);
+  std::vector<double> scores = ppr::PowerIterationPpr(g, user, opts.ppr);
 
   // Collect the user's current out-neighborhood once (O(deg)) instead of
   // probing per item.

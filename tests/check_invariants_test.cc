@@ -3,6 +3,7 @@
 // graph view, push state, overlay view, or explanation on purpose and
 // assert the validator reports the violation with an actionable message.
 
+#include <cmath>
 #include <string>
 #include <utility>
 #include <vector>
@@ -206,6 +207,9 @@ TEST_F(PprInvariantTest, ForwardPushStateSatisfiesEq3) {
     EXPECT_TRUE(
         check::ValidateForwardPushInvariant(rh_.g, s, state, ppr_opts_).ok())
         << "source " << s;
+    EXPECT_TRUE(
+        check::ValidateForwardPushTerminated(rh_.g, state, ppr_opts_).ok())
+        << "source " << s;
   }
 }
 
@@ -224,7 +228,8 @@ TEST_F(PprInvariantTest, HoldsAfterDynamicEdgeUpdates) {
   ppr::DynamicForwardPush<graph::HinGraph> dyn(g, source, ppr_opts_);
 
   // Remove, then re-add, the user's first action; the repaired state must
-  // satisfy Eq. 3 on the *current* graph after every update ([38]).
+  // satisfy Eq. 3 on the *current* graph after every update ([38]) and be
+  // terminated.
   ASSERT_GT(g.OutDegree(source), 0u);
   graph::Edge e = g.OutEdges(source)[0];
   dyn.BeforeOutEdgeChange(source);
@@ -233,6 +238,7 @@ TEST_F(PprInvariantTest, HoldsAfterDynamicEdgeUpdates) {
   ppr::PushResult removed{dyn.Estimates(), dyn.Residuals()};
   EXPECT_TRUE(
       check::ValidateForwardPushInvariant(g, source, removed, ppr_opts_).ok());
+  EXPECT_TRUE(check::ValidateForwardPushTerminated(g, removed, ppr_opts_).ok());
 
   dyn.BeforeOutEdgeChange(source);
   g.AddEdge(source, e.node, e.type, e.weight).CheckOK();
@@ -240,6 +246,30 @@ TEST_F(PprInvariantTest, HoldsAfterDynamicEdgeUpdates) {
   ppr::PushResult readded{dyn.Estimates(), dyn.Residuals()};
   EXPECT_TRUE(
       check::ValidateForwardPushInvariant(g, source, readded, ppr_opts_).ok());
+  EXPECT_TRUE(check::ValidateForwardPushTerminated(g, readded, ppr_opts_).ok());
+}
+
+TEST_F(PprInvariantTest, DetectsResidualAtThreshold) {
+  NodeId s = rh_.users[1];
+  NodeId v = rh_.items[2];
+  ppr::PushResult state = ppr::ForwardPush(rh_.g, s, ppr_opts_);
+  size_t deg = rh_.g.OutDegree(v);
+  const double threshold =
+      ppr_opts_.epsilon * static_cast<double>(deg > 0 ? deg : 1);
+  for (double r : {threshold, -threshold}) {
+    state.residual[v] = r;
+    Status st = check::ValidateForwardPushTerminated(rh_.g, state, ppr_opts_);
+    ASSERT_FALSE(st.ok()) << "residual " << r;
+    EXPECT_NE(st.message().find("termination"), std::string::npos)
+        << st.message();
+    EXPECT_NE(st.message().find("node " + std::to_string(v)),
+              std::string::npos)
+        << st.message();
+  }
+  // Just below the threshold is terminated.
+  state.residual[v] = std::nextafter(threshold, 0.0);
+  EXPECT_TRUE(check::ValidateForwardPushTerminated(rh_.g, state, ppr_opts_)
+                  .ok());
 }
 
 TEST_F(PprInvariantTest, DetectsPerturbedForwardResidual) {
@@ -279,6 +309,8 @@ TEST_F(PprInvariantTest, DetectsMisSizedState) {
   EXPECT_FALSE(check::ValidateReversePushInvariant(rh_.g, rh_.items[0], state,
                                                    ppr_opts_)
                    .ok());
+  EXPECT_FALSE(
+      check::ValidateForwardPushTerminated(rh_.g, state, ppr_opts_).ok());
 }
 
 // --- ValidateOverlayEquivalence ----------------------------------------------

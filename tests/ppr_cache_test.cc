@@ -116,6 +116,32 @@ TEST(ReversePushCacheTest, EvictsLeastRecentlyUsed) {
   EXPECT_EQ(cache.misses(), misses_before + 1);
 }
 
+TEST(ReversePushCacheTest, TouchKeepsASequentialFetchFromEvictingItself) {
+  // Resident {python, harry_potter} (python least recent); the fetch reads
+  // candide (a miss) and then python.
+  test::BookGraph bg = test::MakeBookGraph();
+  auto fetch = [&](ReversePushCache<HinGraph>& cache, bool touch) {
+    cache.Get(bg.python);
+    cache.Get(bg.harry_potter);
+    const size_t gets_before =
+        cache.hits() + cache.misses() + cache.races();
+    const size_t misses_before = cache.misses();
+    if (touch) cache.Touch({bg.candide, bg.python});
+    EXPECT_EQ(cache.hits() + cache.misses() + cache.races(), gets_before)
+        << "Touch counts nothing";
+    cache.Get(bg.candide);
+    cache.Get(bg.python);
+    return cache.misses() - misses_before;
+  };
+  // Without Touch, installing candide evicts python, which then misses too.
+  ReversePushCache<HinGraph> plain(bg.g, PprOptions{}, /*capacity=*/2);
+  EXPECT_EQ(fetch(plain, /*touch=*/false), 2u);
+  // Touch moves python to the front first, so candide evicts harry_potter.
+  ReversePushCache<HinGraph> touched(bg.g, PprOptions{}, /*capacity=*/2);
+  EXPECT_EQ(fetch(touched, /*touch=*/true), 1u);
+  EXPECT_EQ(touched.hits() + touched.misses() + touched.races(), 4u);
+}
+
 TEST(ReversePushCacheTest, SharedPtrSurvivesEviction) {
   test::BookGraph bg = test::MakeBookGraph();
   ReversePushCache<HinGraph> cache(bg.g, PprOptions{}, /*capacity=*/1);

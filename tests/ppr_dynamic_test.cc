@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "check/invariants.h"
 #include "ppr/power_iteration.h"
 #include "test_util.h"
 #include "util/rng.h"
@@ -92,27 +93,20 @@ TEST(DynamicPushTest, SurvivesLongRandomEditSequence) {
   for (NodeId t = 0; t < rh.g.NumNodes(); ++t) {
     EXPECT_NEAR(dyn.Estimate(t), fresh[t], 1e-4) << "t=" << t;
   }
-  EXPECT_LT(dyn.AbsResidualMass(), 1.0);
+  Status done = check::ValidateForwardPushTerminated(rh.g, dyn.State(), opts);
+  EXPECT_TRUE(done.ok()) << done;
 }
 
-// `residual_mass` is maintained incrementally (one float add per repair
-// delta), so each repair can contribute a rounding error. Over thousands of
-// repairs the accumulated drift against the ground truth (a scan of the
-// residual vector) must stay negligible — the periodic resync inside
-// AfterOutEdgeChange re-derives the mass every
-// kResidualMassResyncInterval repairs, so at any point the drift is at
-// most one interval's worth of roundings.
-TEST(DynamicPushTest, ResidualMassDriftBoundedOverThousandsOfRepairs) {
+// Thousands of repairs on one instance: each refine must terminate (the
+// next repair's seed set relies on it), and the state must stay Eq. 3-exact
+// and converged.
+TEST(DynamicPushTest, StaysCorrectOverThousandsOfRepairs) {
   test::BookGraph bg = test::MakeBookGraph();
   PprOptions opts;
   opts.epsilon = 1e-8;
-  PushWorkspace ws;
-  DynamicForwardPush<HinGraph> dyn(bg.g, bg.paul, opts, &ws);
+  DynamicForwardPush<HinGraph> dyn(bg.g, bg.paul, opts);
 
-  const uint64_t resyncs_before =
-      obs::Registry::Global().GetCounter("ppr.dyn.resyncs").Value();
-  // 1500 remove/re-add cycles = 3000 repairs: enough to cross the
-  // 1024-repair resync interval at least twice.
+  // 1500 remove/re-add cycles = 3000 repairs.
   for (int cycle = 0; cycle < 1500; ++cycle) {
     dyn.BeforeOutEdgeChange(bg.paul);
     ASSERT_TRUE(bg.g.RemoveEdge(bg.paul, bg.candide, bg.rated).ok());
@@ -120,23 +114,19 @@ TEST(DynamicPushTest, ResidualMassDriftBoundedOverThousandsOfRepairs) {
     dyn.BeforeOutEdgeChange(bg.paul);
     ASSERT_TRUE(bg.g.AddEdge(bg.paul, bg.candide, bg.rated, 1.0).ok());
     dyn.AfterOutEdgeChange(bg.paul);
+    if (cycle % 500 == 0) {
+      Status done =
+          check::ValidateForwardPushTerminated(bg.g, dyn.State(), opts);
+      ASSERT_TRUE(done.ok()) << "cycle " << cycle << ": " << done;
+    }
   }
-  const uint64_t resyncs =
-      obs::Registry::Global().GetCounter("ppr.dyn.resyncs").Value() -
-      resyncs_before;
-  EXPECT_GE(resyncs, 2u) << "periodic resync did not trigger";
+  Status eq3 =
+      check::ValidateForwardPushInvariant(bg.g, bg.paul, dyn.State(), opts);
+  EXPECT_TRUE(eq3.ok()) << eq3;
+  Status done = check::ValidateForwardPushTerminated(bg.g, dyn.State(), opts);
+  EXPECT_TRUE(done.ok()) << done;
 
-  // Whatever accumulated since the last automatic resync is at most one
-  // interval of float roundings — far below the push tolerance.
-  double drift = dyn.ResyncResidualMass();
-  EXPECT_LT(std::abs(drift), 1e-9);
-
-  // After a resync the incremental mass IS the scan, bitwise.
-  double scan = 0.0;
-  for (double r : dyn.Residuals()) scan += r;
-  EXPECT_EQ(dyn.State().residual_mass, scan);
-
-  // The state itself is still correct (the graph is back to baseline).
+  // The graph is back to baseline.
   std::vector<double> fresh = PowerIterationPpr(bg.g, bg.paul, opts);
   for (NodeId t = 0; t < bg.g.NumNodes(); ++t) {
     EXPECT_NEAR(dyn.Estimate(t), fresh[t], kTol) << "t=" << t;

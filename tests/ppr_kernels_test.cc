@@ -1,4 +1,4 @@
-#include "ppr/workspace.h"
+#include "ppr/sparse_vector.h"
 
 #include <gtest/gtest.h>
 
@@ -72,12 +72,10 @@ void ExpectSamePushes(const A& ref, const B& g, const PprOptions& opts) {
     PushResult b = ForwardPush(g, v, opts);
     EXPECT_EQ(a.estimate, b.estimate) << "forward source " << v;
     EXPECT_EQ(a.residual, b.residual) << "forward source " << v;
-    EXPECT_EQ(a.residual_mass, b.residual_mass) << "forward source " << v;
     PushResult c = ReversePush(ref, v, opts);
     PushResult d = ReversePush(g, v, opts);
     EXPECT_EQ(c.estimate, d.estimate) << "reverse target " << v;
     EXPECT_EQ(c.residual, d.residual) << "reverse target " << v;
-    EXPECT_EQ(c.residual_mass, d.residual_mass) << "reverse target " << v;
   }
 }
 
@@ -132,7 +130,7 @@ TEST(PushBackingParityTest, DenseLoopsBitwiseEqualAcrossBackings) {
 }
 
 // ---------------------------------------------------------------------------
-// Workspace reuse
+// Dynamic repairs
 
 /// A user of `g` with at least one out-edge, and that out-row.
 NodeId UserWithRow(const test::RandomHin& rh, const CsrGraph& g,
@@ -147,80 +145,42 @@ NodeId UserWithRow(const test::RandomHin& rh, const CsrGraph& g,
   return graph::kInvalidNode;
 }
 
-
-TEST(KernelCorrectnessTest, NoDenseResetsAfterWarmup) {
-  // Sparse FIFO repairs share one workspace: once its arrays reached graph
-  // size, no later Begin may pay an O(n) clear.
-  Rng rng(3);
-  test::RandomHin rh = test::MakeRandomHin(rng, 10, 40, 4, 6);
-  CsrGraph csr(rh.g);
-  BasicGraphOverlay<CsrGraph> o(csr);
-  PushWorkspace ws;
-  ws.Begin(csr.NumNodes());  // warm-up growth
-  const size_t resets_after_warmup = ws.stats().dense_resets;
-  EXPECT_GE(resets_after_warmup, 1u);
-  const size_t begins_before = ws.stats().begins;
-
-  std::vector<graph::Edge> row;
-  NodeId user = UserWithRow(rh, csr, &row);
-  ASSERT_NE(user, graph::kInvalidNode);
-  size_t expected_begins = 0;
-  PprOptions opts;
-  // Two instances in turn, as a tester's rebuild reuses its workspace.
-  for (int instance = 0; instance < 2; ++instance) {
-    DynamicForwardPush<BasicGraphOverlay<CsrGraph>> dyn(o, user, opts, &ws);
-    for (int i = 0; i < 20; ++i) {
-      const graph::Edge& e = row[static_cast<size_t>(i) % row.size()];
-      dyn.BeforeOutEdgeChange(user);
-      ASSERT_TRUE(o.RemoveEdge(user, e.node, e.type).ok());
-      dyn.AfterOutEdgeChange(user);
-      dyn.BeforeOutEdgeChange(user);
-      o.Clear();
-      dyn.AfterOutEdgeChange(user);
-      expected_begins += 2;  // one refine per repair
-    }
-    EXPECT_TRUE(
-        check::ValidateForwardPushInvariant(o, user, dyn.State(), opts).ok());
-  }
-  // Zero O(n) clears once the arrays reached size.
-  EXPECT_EQ(ws.stats().dense_resets, resets_after_warmup);
-  EXPECT_EQ(ws.stats().begins - begins_before, expected_begins);
+/// Σ|r|: the signed residuals of a repaired state bound its estimates'
+/// distance from the true PPR vector by their absolute mass.
+double AbsMass(const PushResult& state) {
+  double total = 0.0;
+  for (double r : state.residual) total += std::abs(r);
+  return total;
 }
 
-// ---------------------------------------------------------------------------
-// Dynamic push with workspace
-
-TEST(KernelDynamicTest, SparseRefineMatchesDenseRefine) {
+TEST(KernelDynamicTest, RepairsTerminateAndMatchFromScratchPush) {
+  // The seeded refine must leave the state the math requires: Eq. 3 on the
+  // edited graph, no residual above threshold, and estimates within the
+  // two states' residual masses of a push recomputed from scratch.
   test::BookGraph bg = test::MakeBookGraph();
   PprOptions opts;
-  HinGraph dense_g = bg.g;
-  HinGraph sparse_g = bg.g;
-  PushWorkspace ws;
-  DynamicForwardPush<HinGraph> dense(dense_g, bg.paul, opts);
-  DynamicForwardPush<HinGraph> sparse(sparse_g, bg.paul, opts, &ws);
-  EXPECT_EQ(dense.Estimates(), sparse.Estimates());
-  EXPECT_EQ(dense.Residuals(), sparse.Residuals());
+  HinGraph g = bg.g;
+  DynamicForwardPush<HinGraph> dyn(g, bg.paul, opts);
 
-  auto edit_both = [&](auto&& fn) {
-    dense.BeforeOutEdgeChange(bg.paul);
-    sparse.BeforeOutEdgeChange(bg.paul);
-    fn(dense_g);
-    fn(sparse_g);
-    dense.AfterOutEdgeChange(bg.paul);
-    sparse.AfterOutEdgeChange(bg.paul);
-    // Bitwise: the sparse seed set reproduces the dense scan's schedule.
-    EXPECT_EQ(dense.Estimates(), sparse.Estimates());
-    EXPECT_EQ(dense.Residuals(), sparse.Residuals());
-    EXPECT_NEAR(dense.AbsResidualMass(), sparse.AbsResidualMass(), 1e-12);
+  auto edit = [&](auto&& fn) {
+    dyn.BeforeOutEdgeChange(bg.paul);
+    fn();
+    dyn.AfterOutEdgeChange(bg.paul);
+    Status eq3 =
+        check::ValidateForwardPushInvariant(g, bg.paul, dyn.State(), opts);
+    EXPECT_TRUE(eq3.ok()) << eq3;
+    Status done = check::ValidateForwardPushTerminated(g, dyn.State(), opts);
+    EXPECT_TRUE(done.ok()) << done;
+    PushResult fresh = ForwardPush(g, bg.paul, opts);
+    const double bound = AbsMass(dyn.State()) + AbsMass(fresh) + 1e-12;
+    for (NodeId v = 0; v < g.NumNodes(); ++v) {
+      EXPECT_NEAR(dyn.Estimate(v), fresh.estimate[v], bound) << "node " << v;
+    }
   };
 
-  edit_both([&](HinGraph& g) {
-    ASSERT_TRUE(g.RemoveEdge(bg.paul, bg.candide, bg.rated).ok());
-  });
-  edit_both([&](HinGraph& g) {
-    ASSERT_TRUE(g.AddEdge(bg.paul, bg.lotr, bg.rated, 1.0).ok());
-  });
-  edit_both([&](HinGraph& g) {
+  edit([&] { ASSERT_TRUE(g.RemoveEdge(bg.paul, bg.candide, bg.rated).ok()); });
+  edit([&] { ASSERT_TRUE(g.AddEdge(bg.paul, bg.lotr, bg.rated, 1.0).ok()); });
+  edit([&] {
     ASSERT_TRUE(g.AddEdge(bg.paul, bg.candide, bg.rated, 1.0).ok());
   });
 }
@@ -230,8 +190,7 @@ TEST(KernelDynamicTest, OverlayEditCycleKeepsInvariantAndConverges) {
   CsrGraph csr(bg.g);
   BasicGraphOverlay<CsrGraph> o(csr);
   PprOptions opts;
-  PushWorkspace ws;
-  DynamicForwardPush<BasicGraphOverlay<CsrGraph>> dyn(o, bg.paul, opts, &ws);
+  DynamicForwardPush<BasicGraphOverlay<CsrGraph>> dyn(o, bg.paul, opts);
   std::vector<double> initial = dyn.Estimates();
 
   for (int round = 0; round < 3; ++round) {
@@ -255,27 +214,6 @@ TEST(KernelDynamicTest, OverlayEditCycleKeepsInvariantAndConverges) {
 }
 
 // ---------------------------------------------------------------------------
-// Incremental residual mass (satellite: ResidualMass without the O(n) scan)
-
-TEST(ResidualMassTest, MatchesScanOnPushResults) {
-  Rng rng(23);
-  test::RandomHin rh = test::MakeRandomHin(rng, 6, 20, 3, 5);
-  PprOptions opts;
-  for (NodeId u : rh.users) {
-    PushResult fwd = ForwardPush(rh.g, u, opts);
-    double scan = 0.0;
-    for (double r : fwd.residual) scan += r;
-    EXPECT_NEAR(fwd.ResidualMass(), scan, 1e-9);
-  }
-  for (size_t i = 0; i < 5; ++i) {
-    PushResult rev = ReversePush(rh.g, rh.items[i], opts);
-    double scan = 0.0;
-    for (double r : rev.residual) scan += r;
-    EXPECT_NEAR(rev.ResidualMass(), scan, 1e-9);
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Cooperative deadlines (docs/robustness.md)
 
 TEST(KernelDeadlineTest, ExpiredDeadlineUnwindsEveryEngine) {
@@ -291,7 +229,7 @@ TEST(KernelDeadlineTest, ExpiredDeadlineUnwindsEveryEngine) {
                DeadlineExceededError);
 }
 
-TEST(KernelDeadlineTest, ExpiredDeadlineUnwindsRepairUnderBothRefines) {
+TEST(KernelDeadlineTest, ExpiredDeadlineUnwindsRepair) {
   Rng rng(29);
   test::RandomHin rh = test::MakeRandomHin(rng, 10, 30, 3, 6);
   CsrGraph csr(rh.g);
@@ -303,38 +241,12 @@ TEST(KernelDeadlineTest, ExpiredDeadlineUnwindsRepairUnderBothRefines) {
   PprOptions opts;
   opts.deadline = &deadline;
 
-  // Dense reference refine (no workspace), then the sparse one.
-  PushWorkspace survivor;
-  for (PushWorkspace* ws : {static_cast<PushWorkspace*>(nullptr), &survivor}) {
-    deadline = Deadline();
-    o.Clear();
-    DynamicForwardPush<BasicGraphOverlay<CsrGraph>> dyn(o, user, opts, ws);
-    deadline = Deadline(1e-12);  // expires before the repair's first push
-    deadline.Start();
-    dyn.BeforeOutEdgeChange(user);
-    ASSERT_TRUE(o.RemoveEdge(user, row[0].node, row[0].type).ok());
-    EXPECT_THROW(dyn.AfterOutEdgeChange(user), DeadlineExceededError)
-        << (ws == nullptr ? "dense" : "sparse") << " refine";
-  }
-
-  // The unwind left the survivor's ring mid-refine; the next Begin starts
-  // a fresh epoch, so a repair on it matches one on a cold workspace
-  // bitwise.
-  deadline = Deadline();
-  PushWorkspace cold;
-  auto repair = [&](PushWorkspace* ws) {
-    o.Clear();
-    DynamicForwardPush<BasicGraphOverlay<CsrGraph>> dyn(o, user, opts, ws);
-    dyn.BeforeOutEdgeChange(user);
-    EXPECT_TRUE(o.RemoveEdge(user, row[0].node, row[0].type).ok());
-    dyn.AfterOutEdgeChange(user);
-    return dyn.State();
-  };
-  PushResult after_unwind = repair(&survivor);
-  PushResult fresh = repair(&cold);
-  EXPECT_EQ(after_unwind.estimate, fresh.estimate);
-  EXPECT_EQ(after_unwind.residual, fresh.residual);
-  EXPECT_EQ(after_unwind.residual_mass, fresh.residual_mass);
+  DynamicForwardPush<BasicGraphOverlay<CsrGraph>> dyn(o, user, opts);
+  deadline = Deadline(1e-12);  // expires before the repair's first push
+  deadline.Start();
+  dyn.BeforeOutEdgeChange(user);
+  ASSERT_TRUE(o.RemoveEdge(user, row[0].node, row[0].type).ok());
+  EXPECT_THROW(dyn.AfterOutEdgeChange(user), DeadlineExceededError);
 }
 
 TEST(KernelDeadlineTest, UnexpiredAndAbsentDeadlinesChangeNothing) {
@@ -356,14 +268,13 @@ TEST(KernelDeadlineTest, UnexpiredAndAbsentDeadlinesChangeNothing) {
   EXPECT_EQ(guarded_rev.estimate, base_rev.estimate);
   EXPECT_EQ(guarded_rev.residual, base_rev.residual);
 
-  // A workspace-backed repair polls the deadline in its refine loop.
+  // A repair polls the deadline in its refine loop.
   std::vector<graph::Edge> row;
   NodeId user = UserWithRow(rh, g, &row);
   ASSERT_NE(user, graph::kInvalidNode);
   auto repair = [&](const PprOptions& opts) {
     BasicGraphOverlay<CsrGraph> o(g);
-    PushWorkspace ws;
-    DynamicForwardPush<BasicGraphOverlay<CsrGraph>> dyn(o, user, opts, &ws);
+    DynamicForwardPush<BasicGraphOverlay<CsrGraph>> dyn(o, user, opts);
     dyn.BeforeOutEdgeChange(user);
     EXPECT_TRUE(o.RemoveEdge(user, row[0].node, row[0].type).ok());
     dyn.AfterOutEdgeChange(user);

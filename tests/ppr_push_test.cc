@@ -65,10 +65,10 @@ TEST_P(PushPropertyTest, ForwardPushInvariantEq3Holds) {
 TEST_P(PushPropertyTest, ForwardPushUnderestimatesWithinResidual) {
   NodeId s = rh_.users[0];
   PushResult fp = ForwardPush(rh_.g, s, opts_);
-  double residual_mass = fp.ResidualMass();
+  double mass = fp.ResidualMass();
   for (NodeId t = 0; t < rh_.g.NumNodes(); ++t) {
     EXPECT_LE(fp.estimate[t], ppr_[s][t] + 1e-9);
-    EXPECT_GE(fp.estimate[t], ppr_[s][t] - residual_mass - 1e-9);
+    EXPECT_GE(fp.estimate[t], ppr_[s][t] - mass - 1e-9);
   }
 }
 

@@ -17,10 +17,10 @@ Rules (each can be suppressed per line with a trailing `NOLINT` or
                    WriteBenchMetrics("<name>") so BENCH_<name>.json
                    lands in the perf trajectory.
   dense-reset      no `.assign(...)` / `.resize(...)` dense clears in
-                   src/ppr/ — push state goes through the epoch-stamped
-                   PushWorkspace so a push touching k nodes costs O(k),
-                   not O(n). Intentional warm-up growth and one-off
-                   dense exports carry NOLINT(dense-reset).
+                   src/ppr/ — a dynamic repair reuses state its instance
+                   allocated once, so a repair touching k nodes costs
+                   O(k), not O(n). The dense static pushes carry
+                   NOLINT(dense-reset).
   fault-site       every EMIGRE_FAULT_POINT / EMIGRE_FAULT_POINT_STATUS
                    site name is unique across the repo, so a fault spec
                    or a fault.<site>.fired counter names exactly one
@@ -285,9 +285,9 @@ def check_dense_reset(relpath, stripped_lines, raw_lines, violations):
                 raw_lines[idx], "dense-reset"):
             violations.append(Violation(
                 relpath, idx + 1, "dense-reset",
-                "O(n) dense clear/growth in a PPR hot path; use the "
-                "epoch-stamped PushWorkspace, or mark intentional warm-up "
-                "growth with NOLINT(dense-reset)"))
+                "O(n) dense clear/growth in a PPR hot path; reuse state "
+                "allocated once per instance, or mark a dense static push "
+                "with NOLINT(dense-reset)"))
 
 
 # Matches a fault-point invocation with a literal site name. The macro
