@@ -20,6 +20,7 @@
 #include "explain/search_space.h"
 #include "explain/tester.h"
 #include "graph/csr_snapshot.h"
+#include "obs/metrics.h"
 #include "obs/timeline.h"
 #include "obs/trace.h"
 #include "recsys/recommender.h"
@@ -29,10 +30,32 @@
 
 namespace emigre::explain {
 
+std::shared_ptr<const recsys::RecommendationList> RankingSlot::Find(
+    graph::NodeId user) const {
+  util::MutexLock lock(&mutex_);
+  return user_ == user ? ranking_ : nullptr;
+}
+
+void RankingSlot::Store(graph::NodeId user,
+                        recsys::RecommendationList ranking) {
+  auto stored =
+      std::make_shared<const recsys::RecommendationList>(std::move(ranking));
+  util::MutexLock lock(&mutex_);
+  user_ = user;
+  ranking_.swap(stored);  // the replaced ranking is freed after the unlock
+}
+
 template <typename G>
 recsys::RecommendationList EmigreT<G>::CurrentRanking(
     graph::NodeId user) const {
-  return recsys::RankItems(*g_, user, opts_.rec);
+  if (std::shared_ptr<const recsys::RecommendationList> hit =
+          last_ranking_.Find(user)) {
+    EMIGRE_COUNTER("explain.ranking.reused").Increment();
+    return *hit;
+  }
+  recsys::RecommendationList ranking = recsys::RankItems(*g_, user, opts_.rec);
+  last_ranking_.Store(user, ranking);
+  return ranking;
 }
 
 template <typename G>

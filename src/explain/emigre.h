@@ -10,9 +10,35 @@
 #include "graph/hin_graph.h"
 #include "ppr/cache.h"
 #include "recsys/rec_list.h"
+#include "util/mutex.h"
 #include "util/result.h"
+#include "util/thread_annotations.h"
 
 namespace emigre::explain {
+
+/// \brief The last (user → ranking) pair an engine computed.
+///
+/// An engine's ranking of a user is a pure function of its graph and
+/// options, neither of which changes, so a stored ranking stays exact. One
+/// slot serves the common repeats: ExplainAuto's Add-mode attempt after
+/// Remove, a user's next question and the next method on one question all
+/// rank the user the previous call ranked. Thread-safe; concurrent callers
+/// with different users take turns in the slot.
+class RankingSlot {
+ public:
+  /// The stored ranking when it belongs to `user`, else null.
+  std::shared_ptr<const recsys::RecommendationList> Find(
+      graph::NodeId user) const;
+
+  /// Makes `ranking` the stored ranking, belonging to `user`.
+  void Store(graph::NodeId user, recsys::RecommendationList ranking);
+
+ private:
+  mutable util::Mutex mutex_;
+  graph::NodeId user_ GUARDED_BY(mutex_) = graph::kInvalidNode;
+  std::shared_ptr<const recsys::RecommendationList> ranking_
+      GUARDED_BY(mutex_);
+};
 
 /// \brief The EMiGRe framework facade (paper Fig. 3).
 ///
@@ -27,9 +53,10 @@ namespace emigre::explain {
 /// the same pipeline straight off a snapshot file without materializing a
 /// mutable graph. Explicitly instantiated for both in emigre.cc.
 ///
-/// Thread-safety: the engine is immutable after construction and holds only
-/// a reference to the graph; concurrent `Explain` calls are safe as long as
-/// the graph is not mutated.
+/// Thread-safety: the engine's options and CSR snapshot are immutable after
+/// construction, and it holds only a reference to the graph; its PPR cache
+/// and ranking slot are internally synchronized. Concurrent `Explain` calls
+/// are safe as long as the graph is not mutated.
 ///
 /// ```
 /// explain::EmigreOptions opts;
@@ -76,6 +103,8 @@ class EmigreT {
       Heuristic heuristic = Heuristic::kIncremental) const;
 
   /// The recommender's current full ranking for `user` (Eq. 2 candidates).
+  /// Repeats the previous call's ranking when it was for the same user,
+  /// without recomputing it (counted by `explain.ranking.reused`).
   recsys::RecommendationList CurrentRanking(graph::NodeId user) const;
 
   const EmigreOptions& options() const { return opts_; }
@@ -123,6 +152,9 @@ class EmigreT {
   // across questions and across the per-question phases. The cache is
   // internally synchronized, keeping concurrent Explain calls safe.
   std::unique_ptr<ppr::ReversePushCache<graph::CsrGraph>> ppr_cache_;
+  // The last ranking CurrentRanking computed; mutable because
+  // CurrentRanking is const, and the slot synchronizes itself.
+  mutable RankingSlot last_ranking_;
 };
 
 /// The classic facade over the in-memory graph.

@@ -35,13 +35,24 @@ namespace emigre::graph {
 /// moves the edge to the end of its adjacency list). The testers' verdicts
 /// are deterministic across candidates because of it.
 ///
-/// Overlays are cheap to construct and to `Clear()`, and several overlays
-/// over the same base may be used concurrently from different threads as
-/// long as the base is not mutated.
+/// Every edit flags its src and dst in a byte per node of the base. A
+/// Why-Not edit touches only the user's row (Definition 4.2), so nearly
+/// every node stays unflagged, and for those `OutWeight`, `OutDegree`,
+/// `InDegree`, `ForEachOutEdge` and `ForEachInEdge` return the base's
+/// answer with no hash probe: a power iteration over the overlay walks the
+/// same edges in the same order as over the base, at the base's speed.
+/// Edits are confined to the nodes the base had when the overlay was built;
+/// an edit on a node past the flags fails with InvalidArgument.
+///
+/// Overlays are cheap to `Clear()` (it resets only the flags it set) and
+/// cost one byte per node to construct. Several overlays over the same
+/// base may be used concurrently from different threads as long as the
+/// base is not mutated.
 template <typename BaseT>
 class BasicGraphOverlay {
  public:
-  explicit BasicGraphOverlay(const BaseT& base) : base_(&base) {}
+  explicit BasicGraphOverlay(const BaseT& base)
+      : base_(&base), edited_(base.NumNodes(), 0) {}
 
   const BaseT& base() const { return *base_; }
 
@@ -53,10 +64,7 @@ class BasicGraphOverlay {
   /// effective graph.
   [[nodiscard]]
   Status AddEdge(NodeId src, NodeId dst, EdgeTypeId type, double weight = 1.0) {
-    if (!base_->IsValidNode(src) || !base_->IsValidNode(dst)) {
-      return Status::InvalidArgument(
-          StrFormat("overlay AddEdge(%u, %u): node out of range", src, dst));
-    }
+    EMIGRE_RETURN_IF_ERROR(MarkEdited("AddEdge", src, dst));
     if (!(weight > 0.0)) {
       return Status::InvalidArgument(
           "overlay AddEdge: weight must be positive");
@@ -85,11 +93,7 @@ class BasicGraphOverlay {
   /// Removes (src, dst, type) from the effective graph — either masking a
   /// base edge or undoing a previous overlay addition.
   [[nodiscard]] Status RemoveEdge(NodeId src, NodeId dst, EdgeTypeId type) {
-    if (!base_->IsValidNode(src) || !base_->IsValidNode(dst)) {
-      return Status::InvalidArgument(
-          StrFormat("overlay RemoveEdge(%u, %u): node out of range", src,
-                    dst));
-    }
+    EMIGRE_RETURN_IF_ERROR(MarkEdited("RemoveEdge", src, dst));
     // Undo an overlay addition first, if present.
     if (auto it = added_out_.find(src); it != added_out_.end()) {
       double w = EraseEntry(&it->second, dst, type);
@@ -129,11 +133,7 @@ class BasicGraphOverlay {
   /// non-positive weight.
   [[nodiscard]]
   Status SetWeight(NodeId src, NodeId dst, EdgeTypeId type, double weight) {
-    if (!base_->IsValidNode(src) || !base_->IsValidNode(dst)) {
-      return Status::InvalidArgument(
-          StrFormat("overlay SetWeight(%u, %u): node out of range", src,
-                    dst));
-    }
+    EMIGRE_RETURN_IF_ERROR(MarkEdited("SetWeight", src, dst));
     if (!(weight > 0.0)) {
       return Status::InvalidArgument(
           "overlay SetWeight: weight must be positive");
@@ -177,6 +177,8 @@ class BasicGraphOverlay {
 
   /// Drops all edits; the overlay becomes a transparent view again.
   void Clear() {
+    for (NodeId n : marked_) edited_[n] = 0;
+    marked_.clear();
     removed_.clear();
     removed_src_.clear();
     removed_dst_.clear();
@@ -213,6 +215,7 @@ class BasicGraphOverlay {
 
   /// Effective out-weight of `n` (base plus overlay delta).
   double OutWeight(NodeId n) const {
+    if (!Edited(n)) return base_->OutWeight(n);
     double w = base_->OutWeight(n);
     auto it = out_weight_delta_.find(n);
     if (it != out_weight_delta_.end()) w += it->second;
@@ -221,6 +224,7 @@ class BasicGraphOverlay {
 
   /// Effective out-degree of `n`.
   size_t OutDegree(NodeId n) const {
+    if (!Edited(n)) return base_->OutDegree(n);
     size_t degree = base_->OutDegree(n);
     if (auto it = removed_src_.find(n); it != removed_src_.end()) {
       degree -= it->second;
@@ -231,6 +235,7 @@ class BasicGraphOverlay {
     return degree;
   }
   size_t InDegree(NodeId n) const {
+    if (!Edited(n)) return base_->InDegree(n);
     size_t degree = base_->InDegree(n);
     if (auto it = removed_dst_.find(n); it != removed_dst_.end()) {
       degree -= it->second;
@@ -276,6 +281,10 @@ class BasicGraphOverlay {
 
   template <typename F>
   void ForEachOutEdge(NodeId n, F&& fn) const {
+    if (!Edited(n)) {
+      base_->ForEachOutEdge(n, fn);
+      return;
+    }
     if (removed_.empty() || removed_src_.count(n) == 0) {
       base_->ForEachOutEdge(
           n, [&](NodeId dst, EdgeTypeId type, double w) { fn(dst, type, w); });
@@ -292,6 +301,10 @@ class BasicGraphOverlay {
 
   template <typename F>
   void ForEachInEdge(NodeId n, F&& fn) const {
+    if (!Edited(n)) {
+      base_->ForEachInEdge(n, fn);
+      return;
+    }
     if (removed_.empty() || removed_dst_.count(n) == 0) {
       base_->ForEachInEdge(
           n, [&](NodeId src, EdgeTypeId type, double w) { fn(src, type, w); });
@@ -307,6 +320,26 @@ class BasicGraphOverlay {
   }
 
  private:
+  // Range-checks an edit's endpoints and flags both as edited.
+  [[nodiscard]] Status MarkEdited(const char* op, NodeId src, NodeId dst) {
+    if (!base_->IsValidNode(src) || !base_->IsValidNode(dst) ||
+        src >= edited_.size() || dst >= edited_.size()) {
+      return Status::InvalidArgument(StrFormat(
+          "overlay %s(%u, %u): node out of range", op, src, dst));
+    }
+    for (NodeId n : {src, dst}) {
+      if (!edited_[n]) {
+        edited_[n] = 1;
+        marked_.push_back(n);
+      }
+    }
+    return Status::OK();
+  }
+
+  // True when an edit since the last Clear() touched `n`. Nodes past the
+  // flags (added to a mutable base later) can carry no edit.
+  bool Edited(NodeId n) const { return n < edited_.size() && edited_[n]; }
+
   // Removes one (node, type) entry from a vector adjacency list; returns its
   // weight or a negative value when absent.
   static double EraseEntry(std::vector<Edge>* list, NodeId node,
@@ -322,9 +355,13 @@ class BasicGraphOverlay {
   }
 
   const BaseT* base_;
+  // One flag per base node: set on the src/dst of every edit, reset by
+  // Clear() from `marked_`, the nodes it set.
+  std::vector<char> edited_;
+  std::vector<NodeId> marked_;
   std::unordered_set<EdgeRef, EdgeRefHash> removed_;
-  // Nodes that appear as src/dst of some removed edge — lets the hot
-  // iteration path skip hash probes entirely for untouched nodes.
+  // Edited nodes that appear as src/dst of some removed edge: their
+  // traversal skips the removed-set probe when they have none.
   std::unordered_map<NodeId, size_t> removed_src_;
   std::unordered_map<NodeId, size_t> removed_dst_;
   std::unordered_map<NodeId, std::vector<Edge>> added_out_;

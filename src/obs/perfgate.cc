@@ -12,11 +12,31 @@ namespace emigre::obs {
 
 namespace {
 
-bool IsLatencyMetric(const std::string& flat_name) {
+/// How a flattened series is judged.
+enum class SeriesKind {
+  kCount,    ///< event count: the two-sided counter band
+  kLatency,  ///< wall time: the two-sided latency band
+  kSpeedup,  ///< higher-is-better ratio: fails only on a fall past the
+             ///< latency band
+};
+
+SeriesKind KindOf(const std::string& flat_name) {
   // Wall time is a gauge named *seconds (the bench rows' timings) or
   // "explain.query.seconds/sum", the sum of a *seconds histogram; its count
-  // (and every other series) is an event count.
-  return EndsWith(flat_name, "seconds") || EndsWith(flat_name, "seconds/sum");
+  // (and every other series but the *speedup ratios) is an event count.
+  if (EndsWith(flat_name, "seconds") || EndsWith(flat_name, "seconds/sum")) {
+    return SeriesKind::kLatency;
+  }
+  if (EndsWith(flat_name, "speedup")) return SeriesKind::kSpeedup;
+  return SeriesKind::kCount;
+}
+
+double ToleranceOf(SeriesKind kind, const PerfGateOptions& opts) {
+  return kind == SeriesKind::kCount ? opts.counter_tol : opts.latency_tol;
+}
+
+double NoiseFloorOf(SeriesKind kind, const PerfGateOptions& opts) {
+  return kind == SeriesKind::kLatency ? opts.latency_min : opts.counter_min;
 }
 
 struct FlatMetric {
@@ -167,9 +187,9 @@ Result<PerfGateReport> ComparePerf(const BenchDoc& baseline,
     PerfGateEntry entry;
     entry.metric = m.name;
     entry.current = m.value;
-    bool latency = IsLatencyMetric(m.name);
-    entry.tolerance = latency ? opts.latency_tol : opts.counter_tol;
-    double floor = latency ? opts.latency_min : opts.counter_min;
+    const SeriesKind kind = KindOf(m.name);
+    entry.tolerance = ToleranceOf(kind, opts);
+    double floor = NoiseFloorOf(kind, opts);
 
     // Absolute floors outrank every other disposition: they apply to new
     // metrics, skipped metrics, and metrics under the noise floor alike.
@@ -211,7 +231,12 @@ Result<PerfGateReport> ComparePerf(const BenchDoc& baseline,
           entry.baseline > 0.0 ? entry.current / entry.baseline : 0.0;
       double upper = entry.baseline * (1.0 + entry.tolerance);
       double lower = entry.baseline / (1.0 + entry.tolerance);
-      if (entry.current > upper) {
+      if (kind == SeriesKind::kSpeedup) {
+        // A higher speedup is better, never stale: only a fall regresses.
+        entry.verdict = entry.current < lower
+                            ? PerfGateEntry::Verdict::kRegression
+                            : PerfGateEntry::Verdict::kOk;
+      } else if (entry.current > upper) {
         entry.verdict = PerfGateEntry::Verdict::kRegression;
       } else if (entry.current < lower) {
         entry.verdict = PerfGateEntry::Verdict::kOutOfBand;
@@ -243,10 +268,9 @@ Result<PerfGateReport> ComparePerf(const BenchDoc& baseline,
     PerfGateEntry entry;
     entry.metric = name;
     entry.baseline = value;
-    bool latency = IsLatencyMetric(name);
-    entry.tolerance = latency ? opts.latency_tol : opts.counter_tol;
-    double floor = latency ? opts.latency_min : opts.counter_min;
-    if (skip_matched(name) || value < floor) {
+    const SeriesKind kind = KindOf(name);
+    entry.tolerance = ToleranceOf(kind, opts);
+    if (skip_matched(name) || value < NoiseFloorOf(kind, opts)) {
       entry.verdict = PerfGateEntry::Verdict::kSkipped;
       ++report.skipped;
     } else {

@@ -18,8 +18,9 @@ namespace emigre::obs {
 /// Metrics are flattened to scalar series:
 ///   - counter `c`            -> "c"            (counter tolerance)
 ///   - gauge `g`              -> "g"            (latency tolerance when the
-///                                               name ends in "seconds",
-///                                               counter tolerance otherwise)
+///                                               name ends in "seconds" or
+///                                               "speedup", counter tolerance
+///                                               otherwise)
 ///   - histogram `h`          -> "h/count"      (counter tolerance)
 ///                               "h/sum"        (latency tolerance when the
 ///                                               name ends in "seconds")
@@ -28,17 +29,21 @@ namespace emigre::obs {
 /// `[baseline / (1 + tol), baseline * (1 + tol)]`. The lower bound is
 /// deliberate: a current value far *below* baseline means the baseline is
 /// stale (or the workload changed) and must be refreshed — silently keeping
-/// it would let the band drift upward forever. Metrics whose values sit
-/// below the noise floor on both sides are ignored, as are names matched by
-/// a `skip` glob (nondeterministic under parallelism: cache hit/miss
-/// splits, cancellation counts).
+/// it would let the band drift upward forever. Gauges named *speedup are
+/// higher-is-better ratios and one-sided instead: a rise always passes, and
+/// a fall below `baseline / (1 + latency_tol)` is a regression. Metrics
+/// whose values sit below the noise floor on both sides (`counter_min` for
+/// speedups) are ignored, as are names matched by a `skip` glob
+/// (nondeterministic under parallelism: cache hit/miss splits,
+/// cancellation counts).
 
 struct PerfGateOptions {
   /// Relative tolerance for event counts (counters, gauges, bucket counts).
   double counter_tol = 0.10;
   /// Relative tolerance for wall-clock times (gauges named *seconds, sums
-  /// of histograms named *seconds) — wide, because absolute timings vary
-  /// run to run and machine to machine.
+  /// of histograms named *seconds) and for the fall of *speedup ratios of
+  /// two timings — wide, because absolute timings vary run to run and
+  /// machine to machine.
   double latency_tol = 0.50;
   /// Noise floors: a metric is compared only when baseline or current
   /// exceeds the floor (counts, and seconds respectively).
@@ -70,7 +75,8 @@ struct PerfGateEntry {
     kOk,          ///< inside the tolerance band
     kSkipped,     ///< matched a skip glob
     kBelowFloor,  ///< both sides under the noise floor
-    kRegression,  ///< current > baseline * (1 + tol)
+    kRegression,  ///< current > baseline * (1 + tol); for a *speedup,
+                  ///< current < baseline / (1 + tol)
     kOutOfBand,   ///< current < baseline / (1 + tol): stale baseline
     kMissing,     ///< in baseline (above floor) but absent from current
     kNew,         ///< only in current (reported, never a failure)

@@ -6,11 +6,7 @@ namespace emigre::recsys {
 
 RecommendationList::RecommendationList(std::vector<ScoredItem> items)
     : items_(std::move(items)) {
-  std::sort(items_.begin(), items_.end(),
-            [](const ScoredItem& a, const ScoredItem& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return a.item < b.item;
-            });
+  std::sort(items_.begin(), items_.end(), RanksBefore);
 }
 
 size_t RecommendationList::RankOf(graph::NodeId item) const {

@@ -16,6 +16,12 @@ struct ScoredItem {
   friend bool operator==(const ScoredItem&, const ScoredItem&) = default;
 };
 
+/// \brief The ranking order: descending score, ascending id on ties.
+inline bool RanksBefore(const ScoredItem& a, const ScoredItem& b) {
+  if (a.score != b.score) return a.score > b.score;
+  return a.item < b.item;
+}
+
 /// \brief A descending-score ranking of candidate items for one user.
 ///
 /// Ties are broken by ascending node id so rankings are deterministic —

@@ -47,6 +47,31 @@ bool IsCandidateItem(const G& g, graph::NodeId user, graph::NodeId item,
   return !HasOutEdgeTo(g, user, item);
 }
 
+namespace detail {
+
+/// Scores `user`'s row with exact PPR (power iteration) and calls
+/// `visit(item, score)` for every Eq. 2 candidate, in ascending id order.
+template <graph::GraphLike G, typename F>
+void ForEachCandidateScore(const G& g, graph::NodeId user,
+                           const RecommenderOptions& opts, F&& visit) {
+  std::vector<double> scores = ppr::PowerIterationPpr(g, user, opts.ppr);
+
+  // Collect the user's current out-neighborhood once (O(deg)) instead of
+  // probing per item.
+  std::vector<char> interacted(g.NumNodes(), 0);
+  g.ForEachOutEdge(user, [&](graph::NodeId dst, graph::EdgeTypeId, double) {
+    interacted[dst] = 1;
+  });
+
+  for (graph::NodeId n = 0; n < g.NumNodes(); ++n) {
+    if (n == user || interacted[n]) continue;
+    if (g.NodeType(n) != opts.item_type) continue;
+    visit(n, scores[n]);
+  }
+}
+
+}  // namespace detail
+
 /// \brief Scores every candidate item for `user` with exact PPR (power
 /// iteration) and returns the full ranking (descending score, id-ascending
 /// tie-break).
@@ -59,30 +84,32 @@ RecommendationList RankItems(const G& g, graph::NodeId user,
                              const RecommenderOptions& opts) {
   EMIGRE_SPAN("rank");
   EMIGRE_COUNTER("recsys.rank.calls").Increment();
-  std::vector<double> scores = ppr::PowerIterationPpr(g, user, opts.ppr);
-
-  // Collect the user's current out-neighborhood once (O(deg)) instead of
-  // probing per item.
-  std::vector<char> interacted(g.NumNodes(), 0);
-  g.ForEachOutEdge(user, [&](graph::NodeId dst, graph::EdgeTypeId, double) {
-    interacted[dst] = 1;
-  });
-
   std::vector<ScoredItem> scored;
-  for (graph::NodeId n = 0; n < g.NumNodes(); ++n) {
-    if (n == user || interacted[n]) continue;
-    if (g.NodeType(n) != opts.item_type) continue;
-    scored.push_back(ScoredItem{n, scores[n]});
-  }
+  detail::ForEachCandidateScore(g, user, opts, [&](graph::NodeId n, double s) {
+    scored.push_back(ScoredItem{n, s});
+  });
   return RecommendationList(std::move(scored));
 }
 
 /// \brief The top-1 recommendation `rec` for `user` (Eq. 2), or
 /// kInvalidNode when no candidate exists.
+///
+/// Equal to `RankItems(g, user, opts).Top()`, but an argmax in ranking
+/// order instead of a sort of every candidate: the exact TEST asks only
+/// for the top-1.
 template <graph::GraphLike G>
 graph::NodeId Recommend(const G& g, graph::NodeId user,
                         const RecommenderOptions& opts) {
-  return RankItems(g, user, opts).Top();
+  EMIGRE_SPAN("rank");
+  EMIGRE_COUNTER("recsys.rank.calls").Increment();
+  ScoredItem best;
+  detail::ForEachCandidateScore(g, user, opts, [&](graph::NodeId n, double s) {
+    ScoredItem item{n, s};
+    if (best.item == graph::kInvalidNode || RanksBefore(item, best)) {
+      best = item;
+    }
+  });
+  return best.item;
 }
 
 }  // namespace emigre::recsys

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 #include "explain/tester.h"
+#include "obs/metrics.h"
 #include "recsys/recommender.h"
 #include "test_util.h"
 
@@ -10,6 +15,10 @@ namespace emigre::explain {
 namespace {
 
 using graph::NodeId;
+
+uint64_t CounterValue(const char* name) {
+  return obs::Registry::Global().GetCounter(name).Value();
+}
 
 class EmigreFacadeTest : public ::testing::Test {
  protected:
@@ -102,6 +111,63 @@ TEST_F(EmigreFacadeTest, CurrentRankingMatchesRecommender) {
   for (size_t i = 0; i < direct.size(); ++i) {
     EXPECT_EQ(ranking_.at(i).item, direct.at(i).item);
   }
+}
+
+TEST_F(EmigreFacadeTest, RepeatedRankingOfOneUserIsReused) {
+  // The fixture ranked Paul last: ranking him again runs no power iteration
+  // and returns an equal list.
+  const uint64_t power_calls = CounterValue("ppr.power.calls");
+  const uint64_t reused = CounterValue("explain.ranking.reused");
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(engine_->CurrentRanking(bg_.paul).items(), ranking_.items());
+  }
+  EXPECT_EQ(CounterValue("ppr.power.calls"), power_calls);
+  EXPECT_EQ(CounterValue("explain.ranking.reused"), reused + 3);
+
+  // A question about Paul ranks him through the same slot.
+  NodeId wni = ranking_.at(1).item;
+  ASSERT_TRUE(engine_
+                  ->Explain(WhyNotQuestion{bg_.paul, wni}, Mode::kAdd,
+                            Heuristic::kIncremental)
+                  .ok());
+  EXPECT_EQ(CounterValue("explain.ranking.reused"), reused + 4);
+}
+
+TEST_F(EmigreFacadeTest, RankingAnotherUserIsRecomputed) {
+  const recsys::RecommendationList alice_direct =
+      recsys::RankItems(bg_.g, bg_.alice, opts_.rec);
+  const uint64_t power_calls = CounterValue("ppr.power.calls");
+  const uint64_t reused = CounterValue("explain.ranking.reused");
+  EXPECT_EQ(engine_->CurrentRanking(bg_.alice).items(), alice_direct.items());
+  EXPECT_EQ(CounterValue("ppr.power.calls"), power_calls + 1);
+  // The slot now holds Alice, so Paul is recomputed, to an equal list.
+  EXPECT_EQ(engine_->CurrentRanking(bg_.paul).items(), ranking_.items());
+  EXPECT_EQ(CounterValue("ppr.power.calls"), power_calls + 2);
+  EXPECT_EQ(CounterValue("explain.ranking.reused"), reused);
+}
+
+TEST_F(EmigreFacadeTest, ConcurrentRankingsOfTwoUsersAreExact) {
+  // Four threads alternate two users through the one slot: every caller
+  // gets its own user's ranking, whoever filled the slot last.
+  const NodeId users[2] = {bg_.paul, bg_.alice};
+  const recsys::RecommendationList want[2] = {
+      recsys::RankItems(bg_.g, users[0], opts_.rec),
+      recsys::RankItems(bg_.g, users[1], opts_.rec)};
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < 50; ++i) {
+        const int which = (i + t) % 2;
+        if (engine_->CurrentRanking(users[which]).items() !=
+            want[which].items()) {
+          ++mismatches;
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 TEST_F(EmigreFacadeTest, OriginalRecRecordedOnExplanations) {

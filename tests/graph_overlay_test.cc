@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <map>
 #include <tuple>
 #include <type_traits>
 #include <vector>
 
 #include "graph/csr.h"
+#include "ppr/power_iteration.h"
 #include "test_util.h"
 #include "util/rng.h"
 
@@ -37,6 +40,23 @@ Snapshot SnapshotInEdges(const G& g) {
     });
   }
   return snap;
+}
+
+// The bit patterns of a PPR vector, so a comparison is exact to the bit.
+std::vector<uint64_t> Bits(const std::vector<double>& v) {
+  std::vector<uint64_t> out(v.size());
+  std::memcpy(out.data(), v.data(), v.size() * sizeof(double));
+  return out;
+}
+
+// The effective out-edges of `n` in a view.
+template <typename G>
+std::vector<EdgeRef> OutEdgesOf(const G& g, NodeId n) {
+  std::vector<EdgeRef> out;
+  g.ForEachOutEdge(n, [&](NodeId dst, EdgeTypeId t, double) {
+    out.push_back(EdgeRef{n, dst, t});
+  });
+  return out;
 }
 
 // One overlay template serves every base; the suite runs over the heap
@@ -237,6 +257,102 @@ TYPED_TEST(OverlayTest, RandomEditsMatchMutatedCopy) {
       EXPECT_EQ(overlay.InDegree(n), mutated.InDegree(n));
     }
   }
+}
+
+// Property: power iteration over the overlay equals, bit for bit, the run
+// over a CSR copy materialized from it, after every step of a random mix of
+// adds, removes, un-removes, removes of added edges and re-weights; after
+// Clear() it equals the run over the base. Unedited nodes read the base
+// directly and edited ones go through the edit maps, so both paths are
+// held to the same edges, order and out-weights.
+TYPED_TEST(OverlayTest, PowerIterationMatchesMaterializedCopyBitForBit) {
+  Rng rng(4242);
+  for (int trial = 0; trial < 6; ++trial) {
+    test::RandomHin rh = test::MakeRandomHin(rng, 6, 24, 3, 5);
+    TypeParam base = TestFixture::MakeBase(rh.g);
+    BasicGraphOverlay<TypeParam> overlay(base);
+    const size_t n = rh.g.NumNodes();
+    const NodeId user = rh.users[rng.NextBounded(rh.users.size())];
+    auto pick = [&](const std::vector<EdgeRef>& edges) {
+      return edges[rng.NextBounded(edges.size())];
+    };
+    for (int step = 0; step < 25; ++step) {
+      // Mostly user-rooted edits, as a Why-Not candidate makes, plus some
+      // anywhere in the graph.
+      const NodeId src =
+          rng.NextBool(0.7) ? user : static_cast<NodeId>(rng.NextBounded(n));
+      const EdgeTypeId type = rng.NextBool() ? rh.rated : rh.belongs_to;
+      std::vector<EdgeRef> out = OutEdgesOf(overlay, src);
+      std::vector<EdgeRef> added = overlay.AddedEdges();
+      std::vector<EdgeRef> removed = overlay.RemovedEdges();
+      switch (rng.NextBounded(5)) {
+        case 0: {  // add (fails harmlessly on an existing edge)
+          NodeId dst = static_cast<NodeId>(rng.NextBounded(n));
+          (void)overlay.AddEdge(src, dst, type, rng.NextDouble(0.25, 2.0));
+          break;
+        }
+        case 1:  // remove a base or added edge
+          if (!out.empty()) {
+            EdgeRef e = pick(out);
+            ASSERT_TRUE(overlay.RemoveEdge(e.src, e.dst, e.type).ok());
+          }
+          break;
+        case 2:  // un-remove: the base edge returns with its base weight
+          if (!removed.empty()) {
+            EdgeRef e = pick(removed);
+            ASSERT_TRUE(overlay.AddEdge(e.src, e.dst, e.type, 9.0).ok());
+          }
+          break;
+        case 3:  // remove an added edge (or a re-weighted copy)
+          if (!added.empty()) {
+            EdgeRef e = pick(added);
+            ASSERT_TRUE(overlay.RemoveEdge(e.src, e.dst, e.type).ok());
+          }
+          break;
+        default:  // re-weight a base or added edge
+          if (!out.empty()) {
+            EdgeRef e = pick(out);
+            ASSERT_TRUE(overlay.SetWeight(e.src, e.dst, e.type,
+                                          rng.NextDouble(0.25, 2.0))
+                            .ok());
+          }
+          break;
+      }
+      CsrGraph copy(overlay, 0);
+      for (NodeId seed : {user, src}) {
+        EXPECT_EQ(Bits(ppr::PowerIterationPpr(overlay, seed)),
+                  Bits(ppr::PowerIterationPpr(copy, seed)))
+            << "trial " << trial << " step " << step << " seed " << seed;
+      }
+      for (NodeId v = 0; v < n; ++v) {
+        EXPECT_EQ(overlay.OutDegree(v), copy.OutDegree(v)) << v;
+        EXPECT_EQ(overlay.InDegree(v), copy.InDegree(v)) << v;
+      }
+    }
+    overlay.Clear();
+    for (NodeId seed : {user, rh.items.front()}) {
+      EXPECT_EQ(Bits(ppr::PowerIterationPpr(overlay, seed)),
+                Bits(ppr::PowerIterationPpr(base, seed)))
+          << "trial " << trial << " after Clear, seed " << seed;
+    }
+  }
+}
+
+// Edits are confined to the nodes the base had when the overlay was built;
+// a node the mutable base gained later reads straight from the base.
+TEST(OverlayFlagsTest, NodeAddedAfterConstructionIsReadOnly) {
+  test::BookGraph bg = test::MakeBookGraph();
+  GraphOverlay o(bg.g);
+  ASSERT_TRUE(o.RemoveEdge(bg.paul, bg.candide, bg.rated).ok());
+  NodeId late = bg.g.AddNode(bg.g.NodeType(bg.lotr), "late");
+  EXPECT_TRUE(o.AddEdge(bg.paul, late, bg.rated).IsInvalidArgument());
+  EXPECT_TRUE(o.AddEdge(late, bg.paul, bg.rated).IsInvalidArgument());
+  EXPECT_TRUE(o.SetWeight(late, bg.paul, bg.rated, 2.0).IsInvalidArgument());
+  EXPECT_TRUE(o.RemoveEdge(late, bg.paul, bg.rated).IsInvalidArgument());
+  EXPECT_EQ(o.OutDegree(late), 0u);
+  EXPECT_EQ(o.InDegree(late), 0u);
+  EXPECT_EQ(o.OutWeight(late), 0.0);
+  EXPECT_EQ(o.NumRemoved(), 1u);  // the earlier edit stands
 }
 
 }  // namespace

@@ -562,6 +562,71 @@ TEST(PerfGateTest, FloorOutranksSkipGlobs) {
   EXPECT_FALSE(report->pass) << "a skip glob must not disable a hard floor";
 }
 
+// A ratio of two timings that reads at least counter_min: the shape of
+// bench_ppr_kernels' repair_speedup.
+BenchDoc WithSpeedup(double value) {
+  BenchDoc doc = MakeBaselineDoc();
+  doc.metrics.gauges.push_back({"bench.kernels.repair_speedup", value});
+  return doc;
+}
+
+const PerfGateEntry* FindEntry(const PerfGateReport& report,
+                               const std::string& metric) {
+  for (const PerfGateEntry& e : report.entries) {
+    if (e.metric == metric) return &e;
+  }
+  return nullptr;
+}
+
+TEST(PerfGateTest, SpeedupRiseNeverFails) {
+  // +30% and 10x: both outside the ±10% counter band a count would get.
+  for (double current : {42.8, 330.0}) {
+    Result<PerfGateReport> report =
+        ComparePerf(WithSpeedup(33.0), WithSpeedup(current), PerfGateOptions{});
+    ASSERT_TRUE(report.ok());
+    EXPECT_TRUE(report->pass) << report->Format();
+    const PerfGateEntry* e = FindEntry(*report, "bench.kernels.repair_speedup");
+    ASSERT_NE(e, nullptr);
+    EXPECT_EQ(e->verdict, PerfGateEntry::Verdict::kOk) << current;
+    EXPECT_DOUBLE_EQ(e->tolerance, PerfGateOptions{}.latency_tol);
+  }
+}
+
+TEST(PerfGateTest, SpeedupFallFailsOnlyPastLatencyTolerance) {
+  // latency_tol 0.5: a fall fails below 33 / 1.5 = 22.
+  Result<PerfGateReport> report =
+      ComparePerf(WithSpeedup(33.0), WithSpeedup(29.3), PerfGateOptions{});
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report->pass) << "-11% is run-to-run timing noise: "
+                            << report->Format();
+
+  report = ComparePerf(WithSpeedup(33.0), WithSpeedup(20.0), PerfGateOptions{});
+  ASSERT_TRUE(report.ok());
+  EXPECT_FALSE(report->pass);
+  const PerfGateEntry* e = FindEntry(*report, "bench.kernels.repair_speedup");
+  ASSERT_NE(e, nullptr);
+  EXPECT_EQ(e->verdict, PerfGateEntry::Verdict::kRegression);
+  EXPECT_NE(report->Format().find("REGRESSION"), std::string::npos);
+}
+
+TEST(PerfGateTest, SpeedupFloorStillApplies) {
+  // Inside the one-sided band, but under the configured absolute minimum.
+  PerfGateOptions opts;
+  opts.floors["kernels"]["bench.kernels.repair_speedup"] = 30.0;
+  Result<PerfGateReport> report =
+      ComparePerf(WithSpeedup(33.0), WithSpeedup(29.3), opts);
+  ASSERT_TRUE(report.ok());
+  EXPECT_FALSE(report->pass);
+  const PerfGateEntry* e = FindEntry(*report, "bench.kernels.repair_speedup");
+  ASSERT_NE(e, nullptr);
+  EXPECT_EQ(e->verdict, PerfGateEntry::Verdict::kBelowMin);
+  EXPECT_DOUBLE_EQ(e->floor, 30.0);
+  // A rise clears the floor and the band alike.
+  report = ComparePerf(WithSpeedup(33.0), WithSpeedup(45.0), opts);
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report->pass) << report->Format();
+}
+
 TEST(PerfGateTest, ConfigParsesFloors) {
   Result<PerfGateOptions> opts = ParsePerfGateConfig(
       "{\"schema\": \"emigre.perfgate.v1\", \"floors\": {\"ppr_kernels\": "

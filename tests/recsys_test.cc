@@ -130,6 +130,62 @@ TEST(RecommenderTest, UserWithNoCandidatesGetsEmptyList) {
   EXPECT_EQ(Recommend(g, u, opts), graph::kInvalidNode);
 }
 
+// Items the walk reaches symmetrically score exactly equal. Recommend's
+// argmax must then pick what the sorted ranking puts first: the lowest id
+// among the tied top scores, not the lowest candidate id overall.
+TEST(RecommenderTest, RecommendBreaksExactTiesLikeTheRanking) {
+  graph::HinGraph g;
+  graph::NodeTypeId user_type = g.RegisterNodeType("user");
+  graph::NodeTypeId item_type = g.RegisterNodeType("item");
+  graph::NodeTypeId hub_type = g.RegisterNodeType("category");
+  graph::EdgeTypeId rated = g.RegisterEdgeType("rated");
+  NodeId unreached = g.AddNode(item_type);  // a candidate scoring 0
+  NodeId u = g.AddNode(user_type);
+  NodeId hub = g.AddNode(hub_type);
+  std::vector<NodeId> tied;
+  for (int k = 0; k < 4; ++k) tied.push_back(g.AddNode(item_type));
+  ASSERT_TRUE(g.AddEdge(u, hub, rated).ok());
+  ASSERT_TRUE(g.AddEdge(hub, u, rated).ok());
+  for (NodeId t : tied) {
+    ASSERT_TRUE(g.AddEdge(hub, t, rated).ok());
+    ASSERT_TRUE(g.AddEdge(t, hub, rated).ok());
+  }
+  RecommenderOptions opts;
+  opts.item_type = item_type;
+
+  RecommendationList list = RankItems(g, u, opts);
+  ASSERT_EQ(list.size(), 5u);
+  for (size_t r = 1; r < tied.size(); ++r) {
+    ASSERT_EQ(list.at(r).score, list.at(0).score) << "tie is exact";
+  }
+  EXPECT_GT(list.at(0).score, list.ScoreOf(unreached));
+  EXPECT_EQ(list.Top(), tied.front());
+  EXPECT_EQ(Recommend(g, u, opts), list.Top());
+
+  // The same on an overlay whose edits leave the tie in place.
+  graph::GraphOverlay o(g);
+  ASSERT_TRUE(o.AddEdge(u, tied.front(), rated).ok());
+  EXPECT_EQ(Recommend(o, u, opts), RankItems(o, u, opts).Top());
+  EXPECT_EQ(Recommend(o, u, opts), tied[1]);
+}
+
+TEST(RecommenderTest, RecommendReturnsInvalidNodeWithoutCandidates) {
+  test::BookGraph bg = test::MakeBookGraph();
+  RecommenderOptions opts;
+  opts.item_type = bg.item_type;
+  // Paul rates every book on the overlay: no candidate is left.
+  graph::GraphOverlay o(bg.g);
+  const RecommendationList books = RankItems(bg.g, bg.paul, opts);
+  for (const ScoredItem& si : books.items()) {
+    ASSERT_TRUE(o.AddEdge(bg.paul, si.item, bg.rated).ok());
+  }
+  EXPECT_TRUE(RankItems(o, bg.paul, opts).empty());
+  EXPECT_EQ(Recommend(o, bg.paul, opts), graph::kInvalidNode);
+  // A type no node has yields no candidate either.
+  opts.item_type = bg.user_type + bg.item_type + bg.category_type + 1;
+  EXPECT_EQ(Recommend(bg.g, bg.paul, opts), graph::kInvalidNode);
+}
+
 // ---------------------------------------------------------------------------
 // RecWalk
 // ---------------------------------------------------------------------------

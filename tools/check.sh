@@ -28,7 +28,8 @@ JOBS=$(nproc 2>/dev/null || echo 4)
 # The concurrency-sensitive tests. This single list drives both the TSan
 # build targets and the ctest selection below — keep it the only copy.
 TSAN_TESTS="util_mutex_test util_thread_pool_test ppr_cache_test \
-obs_metrics_test obs_trace_test explain_parallel_tester_test"
+obs_metrics_test obs_trace_test explain_parallel_tester_test \
+explain_emigre_test"
 
 # Static analysis first: it is the cheapest stage and fails fastest.
 python3 "$SRC_DIR/tools/lint.py"

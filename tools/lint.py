@@ -475,13 +475,27 @@ def class_blocks(stripped_lines):
     return blocks
 
 
+def paren_depths(stripped_lines):
+    """The parenthesis depth at the start of each line: a line that starts
+    inside an open `(` continues a declaration's parameter list."""
+    depths = []
+    depth = 0
+    for line in stripped_lines:
+        depths.append(depth)
+        depth = max(0, depth + line.count("(") - line.count(")"))
+    return depths
+
+
 def check_guarded_by(relpath, stripped_lines, raw_lines, violations):
     """Every class that owns a mutex must annotate its other data members
     with GUARDED_BY (or justify the exception with NOLINT(guarded-by)), so
     the -Wthread-safety analysis actually covers the shared state. The
     check runs on the stripped text with the annotation macros still
     visible, but inspects the raw line for GUARDED_BY because the macro may
-    share the line with a comment."""
+    share the line with a comment. Wrapped parameter lines such as
+    `Mode mode = Mode::kAdd) const;` read like members and are skipped by
+    their parenthesis depth."""
+    depths = paren_depths(stripped_lines)
     for _, member_lines in class_blocks(stripped_lines):
         mutex_lines = [i for i in member_lines
                        if MUTEX_MEMBER_RE.match(stripped_lines[i])]
@@ -489,7 +503,7 @@ def check_guarded_by(relpath, stripped_lines, raw_lines, violations):
             continue
         for i in member_lines:
             line = stripped_lines[i]
-            if i in mutex_lines or not line.strip():
+            if i in mutex_lines or not line.strip() or depths[i] > 0:
                 continue
             if MEMBER_SKIP_RE.match(line) or "(" in line.split("=")[0]:
                 # GUARDED_BY(...) itself adds parens; strip the macros
@@ -778,6 +792,9 @@ CLEAN_FILE = (
     "class Guarded {\n"
     " public:\n"
     "  [[nodiscard]] Status Flush(int fd);\n"
+    "  [[nodiscard]] Result<int> Explain(\n"
+    "      const Question& q,\n"
+    "      Heuristic heuristic = Heuristic::kIncremental) const;\n"
     " private:\n"
     "  mutable util::Mutex mutex_;\n"
     "  std::map<int, int> index_ GUARDED_BY(mutex_);\n"
