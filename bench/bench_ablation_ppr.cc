@@ -5,15 +5,12 @@
 //     iteration) — this is what every TEST invocation pays.
 //   * Forward/Reverse Local Push cost is governed by ε, not graph size
 //     (locality) — this is why the search-space phase is cheap.
-//   * The dynamic updater repairs a forward-push state after an edge flip
-//     far cheaper than recomputing from scratch.
 
 #include <benchmark/benchmark.h>
 
 #include "common.h"
 #include "data/amazon_lite.h"
 #include "data/synthetic_amazon.h"
-#include "ppr/dynamic.h"
 #include "ppr/forward_push.h"
 #include "ppr/power_iteration.h"
 #include "ppr/reverse_push.h"
@@ -83,47 +80,6 @@ void BM_ReversePush(benchmark::State& state) {
   state.SetLabel("eps=1/" + std::to_string(state.range(0)));
 }
 BENCHMARK(BM_ReversePush)->Arg(1000)->Arg(100000)->Arg(10000000);
-
-void BM_DynamicUpdateVsRecompute(benchmark::State& state) {
-  const bool recompute = state.range(0) == 1;
-  data::AmazonLiteGraph lite = MakeGraph(600);
-  graph::HinGraph& g = lite.graph;
-  ppr::PprOptions opts;
-  opts.epsilon = 1e-8;
-  graph::NodeId user = FirstUser(lite);
-  graph::NodeId item = 0;
-  for (graph::NodeId n = 0; n < g.NumNodes(); ++n) {
-    if (g.NodeType(n) == lite.item_type && !g.HasEdge(user, n)) {
-      item = n;
-      break;
-    }
-  }
-  ppr::DynamicForwardPush<graph::HinGraph> dyn(g, user, opts);
-  bool present = false;
-  for (auto _ : state) {
-    if (recompute) {
-      if (!present) {
-        g.AddEdge(user, item, lite.rated_type, 1.0).CheckOK();
-      } else {
-        g.RemoveEdge(user, item, lite.rated_type).CheckOK();
-      }
-      present = !present;
-      benchmark::DoNotOptimize(ppr::ForwardPush(g, user, opts));
-    } else {
-      dyn.BeforeOutEdgeChange(user);
-      if (!present) {
-        g.AddEdge(user, item, lite.rated_type, 1.0).CheckOK();
-      } else {
-        g.RemoveEdge(user, item, lite.rated_type).CheckOK();
-      }
-      present = !present;
-      dyn.AfterOutEdgeChange(user);
-      benchmark::DoNotOptimize(dyn.Estimates());
-    }
-  }
-  state.SetLabel(recompute ? "recompute-from-scratch" : "dynamic-repair");
-}
-BENCHMARK(BM_DynamicUpdateVsRecompute)->Arg(0)->Arg(1);
 
 }  // namespace
 

@@ -82,7 +82,6 @@ int main() {
     std::vector<std::vector<eval::ScenarioRecord>> records_by_run;
     for (size_t threads : thread_counts) {
       explain::EmigreOptions opts = bench::MakeEmigreOptions(config, *lite);
-      opts.tester = explain::TesterKind::kExact;
       opts.test_threads = threads;
       if (method.heuristic == explain::Heuristic::kBruteForce) {
         opts.max_tests = kOracleTestCap;

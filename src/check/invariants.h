@@ -189,10 +189,7 @@ template <graph::GraphLike G>
 ///   r = e_source − p/α + (1−α)/α · (p·W)
 ///
 /// Pushes preserve this identity exactly, so `tol` only has to absorb
-/// floating-point accumulation. Works on the state as returned by
-/// `ForwardPush` and on states evolved through `DynamicForwardPush` edge
-/// updates — the dynamic maintenance contract [38] is precisely that the
-/// identity keeps holding on the updated graph.
+/// floating-point accumulation.
 template <graph::GraphLike G>
 [[nodiscard]] Status ValidateForwardPushInvariant(
     const G& g, graph::NodeId source, const ppr::PushResult& state,
@@ -241,12 +238,9 @@ template <graph::GraphLike G>
 
 /// Validates that a forward-push state is terminated: no node v carries a
 /// residual with |r(v)| ≥ ε·max(out_degree(v), 1), the threshold at which
-/// `ForwardPush` and the `DynamicForwardPush` refine push a node. Every
-/// push and refine must end this way. The dynamic repair relies on it: if
-/// every refine terminated, only the nodes a repair writes can be above
-/// threshold at the next repair, so seeding the refine with them enqueues
-/// exactly what a full scan would. Exact, no tolerance: the loops compare
-/// the same quantities.
+/// `ForwardPush` pushes a node. Every push must end this way; Eq. 3 alone
+/// does not show it, since the identity holds after any number of pushes.
+/// Exact, no tolerance: the loop compares the same quantities.
 template <graph::GraphLike G>
 [[nodiscard]] Status ValidateForwardPushTerminated(
     const G& g, const ppr::PushResult& state,
@@ -472,8 +466,9 @@ template <typename OverlayT>
 /// exact semantics of `ExplanationTester::Test`) and checks that the top-1
 /// recommendation for `q.user` becomes `q.why_not_item`.
 ///
-/// Only meaningful for explanations with `found && verified`; approximate
-/// testers may report unverified candidates that legitimately fail replay.
+/// Only meaningful for explanations with `found && verified`; unverified
+/// ones (the Exhaustive-direct baseline skips TEST) may legitimately fail
+/// replay.
 ///
 /// Generic over the base graph `G` (`HinGraph` or an mmap-backed
 /// `CsrSnapshotView`): the replay runs on a `BasicGraphOverlay<G>`.

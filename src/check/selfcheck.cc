@@ -9,7 +9,6 @@
 #include "graph/overlay.h"
 #include "graph/types.h"
 #include "obs/trace.h"
-#include "ppr/dynamic.h"
 #include "ppr/forward_push.h"
 #include "ppr/reverse_push.h"
 #include "util/rng.h"
@@ -68,13 +67,13 @@ void RunPprSuites(const graph::HinGraph& g,
                   SelfCheckReport* report) {
   const ppr::PprOptions& ppr_opts = opts.rec.ppr;
 
-  // Static FLP identity (Eq. 3) from sampled sources.
-  graph::NodeTypeId user_type = g.FindNodeType("user");
+  // FLP identity (Eq. 3) and termination from sampled sources.
   for (graph::NodeId s :
-       SampleNodes(g, rng, sc.num_samples, user_type)) {
+       SampleNodes(g, rng, sc.num_samples, g.FindNodeType("user"))) {
     ppr::PushResult state = ppr::ForwardPush(g, s, ppr_opts);
-    Record(report, "flp(source " + std::to_string(s) + ")",
-           ValidateForwardPushInvariant(g, s, state, ppr_opts));
+    Status st = ValidateForwardPushInvariant(g, s, state, ppr_opts);
+    if (st.ok()) st = ValidateForwardPushTerminated(g, state, ppr_opts);
+    Record(report, "flp(source " + std::to_string(s) + ")", st);
   }
 
   // Static RLP identity (Eq. 4) toward sampled targets.
@@ -83,46 +82,6 @@ void RunPprSuites(const graph::HinGraph& g,
     ppr::PushResult state = ppr::ReversePush(g, t, ppr_opts);
     Record(report, "rlp(target " + std::to_string(t) + ")",
            ValidateReversePushInvariant(g, t, state, ppr_opts));
-  }
-
-  // FLP identity under dynamic edge updates ([38]): remove then re-add a
-  // random out-edge on a mutable copy, repairing the push state in place,
-  // and re-verify Eq. 3 and termination after every repair (the seeded
-  // refine is complete only if every refine terminated).
-  graph::HinGraph mutable_g = g;
-  graph::NodeId source = PickActiveNode(mutable_g, rng, user_type);
-  if (source != graph::kInvalidNode) {
-    ppr::DynamicForwardPush<graph::HinGraph> dyn(mutable_g, source, ppr_opts);
-    auto validate = [&](const std::string& suite) {
-      Status st = ValidateForwardPushInvariant(mutable_g, source, dyn.State(),
-                                               ppr_opts);
-      if (st.ok()) {
-        st = ValidateForwardPushTerminated(mutable_g, dyn.State(), ppr_opts);
-      }
-      Record(report, suite, st);
-    };
-    for (size_t i = 0; i < sc.num_edits; ++i) {
-      graph::NodeId u = PickActiveNode(mutable_g, rng, graph::kInvalidNodeType);
-      if (u == graph::kInvalidNode) break;
-      auto edges = mutable_g.OutEdges(u);
-      const graph::Edge picked = edges[rng.NextBounded(edges.size())];
-      dyn.BeforeOutEdgeChange(u);
-      Status st = mutable_g.RemoveEdge(u, picked.node, picked.type);
-      dyn.AfterOutEdgeChange(u);
-      if (st.ok()) {
-        validate("flp-dynamic(remove " + std::to_string(u) + "->" +
-                 std::to_string(picked.node) + ")");
-        dyn.BeforeOutEdgeChange(u);
-        st = mutable_g.AddEdge(u, picked.node, picked.type, picked.weight);
-        dyn.AfterOutEdgeChange(u);
-      }
-      if (st.ok()) {
-        validate("flp-dynamic(re-add)");
-      } else {
-        Record(report, "flp-dynamic(edit)",
-               Status::Internal("graph edit failed: " + st.message()));
-      }
-    }
   }
 }
 

@@ -15,7 +15,7 @@ namespace emigre::check {
 /// \brief Configuration of the invariant self-check suite.
 struct SelfCheckOptions {
   /// Which suites run: kBasic validates graph structure only; kFull adds
-  /// the PPR residual identities (static and after dynamic edge updates),
+  /// the PPR residual identities and forward-push termination,
   /// overlay-vs-materialized equivalence, and an end-to-end explanation
   /// replay. kOff runs nothing.
   CheckLevel level = CheckLevel::kFull;
@@ -23,7 +23,7 @@ struct SelfCheckOptions {
   /// Sampled source/target nodes per PPR suite.
   size_t num_samples = 3;
 
-  /// Random overlay edits and dynamic edge updates exercised.
+  /// Random overlay edits exercised.
   size_t num_edits = 3;
 
   /// Sampling seed (deterministic SplitMix64 stream).

@@ -157,9 +157,9 @@ Result<ExperimentResult> RunExperiment(const graph::HinGraph& g,
       if (e.found && e.verified) {
         record.correct = true;
       } else if (e.found) {
-        // Unverified output (Exhaustive-direct, or any approximate-tester
-        // result): success is decided by an untimed independent check,
-        // mirroring the paper's accounting.
+        // Unverified output (Exhaustive-direct, which skips TEST): success
+        // is decided by an untimed independent check, mirroring the paper's
+        // accounting.
         if (checker == nullptr) {
           checker = std::make_unique<explain::ExplanationTester>(
               g, scenario.user, scenario.wni, opts, &engine.csr());

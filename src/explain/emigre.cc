@@ -13,7 +13,6 @@
 #include "fault/fault.h"
 #include "explain/brute_force.h"
 #include "explain/exhaustive.h"
-#include "explain/fast_tester.h"
 #include "explain/incremental.h"
 #include "explain/parallel_tester.h"
 #include "explain/powerset.h"
@@ -152,8 +151,7 @@ Result<Explanation> EmigreT<G>::Explain(const WhyNotQuestion& q, Mode mode,
     record.deadline_seconds = opts_.deadline_seconds;
     record.max_tests = opts_.max_tests;
     record.test_threads = opts_.test_threads;
-    record.tester =
-        opts_.tester == TesterKind::kDynamicPush ? "dynamic_push" : "exact";
+    record.tester = "exact";
     record.anytime = opts_.anytime;
     record.seconds = timer.ElapsedSeconds();
     if (outcome.ok()) {
@@ -233,24 +231,19 @@ Result<Explanation> EmigreT<G>::ExplainImpl(const WhyNotQuestion& q, Mode mode,
                                        phase_timer.ElapsedSeconds());
   }
 
-  // Per-query deadline, propagated cooperatively into the TEST path's PPR
-  // loops (push kernels, dynamic repair, power iteration). The ranking and
-  // search-space phases above intentionally run without it: their pushes
-  // fill the shared cross-query PPR cache, and unwinding one mid-fill would
-  // waste work later queries reuse. The Deadline outlives the testers (both
-  // live to the end of this scope).
+  // Per-query deadline, propagated cooperatively into the TEST path's power
+  // iteration. The ranking and search-space phases above intentionally run
+  // without it: their pushes fill the shared cross-query PPR cache, and
+  // unwinding one mid-fill would waste work later queries reuse. The
+  // Deadline outlives the testers (both live to the end of this scope).
   Deadline deadline(opts_.deadline_seconds);
   deadline.Start();
   EmigreOptions eopts = opts_;
   eopts.rec.ppr.deadline = &deadline;
 
   // Factory for per-thread testers: each worker of a ParallelTester owns a
-  // private overlay/dynamic-push state built by this closure.
+  // private overlay built by this closure.
   auto make_tester = [this, &q, &eopts]() -> std::unique_ptr<TesterInterface> {
-    if (opts_.tester == TesterKind::kDynamicPush) {
-      return std::make_unique<FastExplanationTesterT<G>>(
-          *g_, q.user, q.why_not_item, eopts, &csr_);
-    }
     return std::make_unique<ExplanationTesterT<G>>(*g_, q.user, q.why_not_item,
                                                    eopts, &csr_);
   };
@@ -295,9 +288,9 @@ Result<Explanation> EmigreT<G>::ExplainImpl(const WhyNotQuestion& q, Mode mode,
   }
   result.original_rec = rec;
   // Verified results went through the exact TEST; replaying them must flip
-  // the recommendation. Unverified ones (approximate testers, the
-  // Exhaustive-direct baseline) may legitimately fail replay — the eval
-  // harness measures that, so they are not validated here.
+  // the recommendation. Unverified ones (the Exhaustive-direct baseline) may
+  // legitimately fail replay — the eval harness measures that, so they are
+  // not validated here.
   if (result.found && result.verified &&
       check::ShouldCheck(opts_.check_level, check::CheckLevel::kBasic)) {
     check::DcheckOk(check::ValidateExplanation(*g_, q, result, opts_),

@@ -11,13 +11,14 @@
 
 namespace emigre::explain {
 
-/// \brief Which TEST implementation verifies candidate explanations.
+/// \brief The TEST implementation: one value, selecting nothing.
+///
+/// Every candidate is verified by the exact `ExplanationTesterT`, a full
+/// recommender re-run per candidate (tester.h). The enum and
+/// `EmigreOptions::tester` remain only because the end-to-end benchmark
+/// (e2ebench/e2e_bench.cc) still assigns the field; both go once it stops.
 enum class TesterKind {
-  /// Exact: full recommender re-run per candidate (the reference).
   kExact,
-  /// Approximate: incrementally maintained PPR (see fast_tester.h) —
-  /// typically several times faster per TEST, ε-accurate on near-ties.
-  kDynamicPush,
 };
 
 /// \brief Configuration of the EMiGRe framework.
@@ -77,7 +78,7 @@ struct EmigreOptions {
   /// the Exhaustive Comparison (paper uses the top-10 recommendation list).
   size_t exhaustive_targets = 10;
 
-  /// TEST implementation (see TesterKind).
+  /// Selects nothing; see `TesterKind`.
   TesterKind tester = TesterKind::kExact;
 
   /// Worker threads for candidate verification (the TEST fan-out;

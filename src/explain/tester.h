@@ -25,8 +25,8 @@ namespace emigre::explain {
 /// Verifies that a candidate edge set is an actual Why-Not explanation
 /// (Definition 4.2): applied to the graph — added in Add mode, removed in
 /// Remove mode — it must make the Why-Not item the *top-1* recommendation.
-/// Two implementations exist: the exact `ExplanationTester` (reference) and
-/// the `FastExplanationTester` (dynamic-push approximation, fast_tester.h).
+/// The exact `ExplanationTesterT` implements it; `ParallelTester` fans a
+/// batch out over one such tester per worker thread.
 class TesterInterface {
  public:
   virtual ~TesterInterface() = default;
@@ -51,9 +51,9 @@ class TesterInterface {
   /// Number of TEST invocations so far (runtime diagnostics).
   virtual size_t num_tests() const = 0;
 
-  /// True when a positive TEST is an exact guarantee. Approximate testers
-  /// return false; search strategies then report their explanations as
-  /// unverified so callers (the evaluation runner does) re-check exactly.
+  /// True when a positive TEST is an exact guarantee. A tester returning
+  /// false makes search strategies report their explanations as unverified,
+  /// so callers (the evaluation runner does) re-check exactly.
   virtual bool IsExact() const = 0;
 
   /// Sentinel index for "no candidate" in BatchResult.

@@ -371,7 +371,6 @@ inline constexpr const char* kFaultSites[] = {
     "graph.snapshot.map",      ///< CSR snapshot mapper (csr_snapshot)
     "ppr.flp",                 ///< static forward push loop
     "ppr.rlp",                 ///< static reverse push loop
-    "ppr.dyn.refine",          ///< dynamic-push repair refine
     "ppr.cache.fill",          ///< ReversePushCache miss fill
     "threadpool.task",         ///< ThreadPool worker task execution
     "threadpool.serial",       ///< ParallelFor's single-thread fast path

@@ -61,13 +61,20 @@ class BasicGraphOverlay {
   /// Adds (src, dst, type, weight) on top of the base. Restores the original
   /// weight instead if that exact edge was previously removed through this
   /// overlay. Fails with AlreadyExists if the edge is already present in the
-  /// effective graph.
+  /// effective graph — a base edge re-weighted by `SetWeight` included.
   [[nodiscard]]
   Status AddEdge(NodeId src, NodeId dst, EdgeTypeId type, double weight = 1.0) {
     EMIGRE_RETURN_IF_ERROR(MarkEdited("AddEdge", src, dst));
     if (!(weight > 0.0)) {
       return Status::InvalidArgument(
           "overlay AddEdge: weight must be positive");
+    }
+    // Checked before the un-remove below: `SetWeight` masks a base edge too,
+    // and its re-weighted copy must not gain a twin.
+    if (HasEdge(src, dst, type)) {
+      return Status::AlreadyExists(
+          StrFormat("overlay: edge (%u, %u, type=%u) already present", src,
+                    dst, type));
     }
     EdgeRef ref{src, dst, type};
     if (auto it = removed_.find(ref); it != removed_.end()) {
@@ -77,11 +84,6 @@ class BasicGraphOverlay {
       if (--removed_dst_[dst] == 0) removed_dst_.erase(dst);
       out_weight_delta_[src] += base_->EdgeWeight(src, dst, type);
       return Status::OK();
-    }
-    if (HasEdge(src, dst, type)) {
-      return Status::AlreadyExists(
-          StrFormat("overlay: edge (%u, %u, type=%u) already present", src,
-                    dst, type));
     }
     added_out_[src].push_back(Edge{dst, type, weight});
     added_in_[dst].push_back(Edge{src, type, weight});

@@ -64,7 +64,8 @@ struct PerfGateOptions {
 /// Parses the checked-in gate configuration (emigre.perfgate.v1):
 ///   {"schema": "emigre.perfgate.v1", "counter_tol": 0.1, "latency_tol":
 ///    0.5, "counter_min": 16, "latency_min": 0.001, "skip": ["ppr.cache.*"],
-///    "floors": {"ppr_kernels": {"bench.ppr_kernels.repair_speedup": 1.0}}}
+///    "floors": {"graph_io": {"bench.graph_io.snapshot_vs_csv_speedup":
+///    20.0}}}
 /// Absent fields keep their defaults.
 [[nodiscard]] Result<PerfGateOptions> ParsePerfGateConfig(
     const std::string& json);

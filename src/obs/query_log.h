@@ -60,7 +60,7 @@ struct QueryRecord {
   double deadline_seconds = 0.0;
   uint64_t max_tests = 0;
   uint64_t test_threads = 1;
-  std::string tester;  ///< "exact" | "dynamic_push"
+  std::string tester;  ///< "exact" (older logs may name a retired tester)
   bool anytime = false;
 
   // Outcome.

@@ -9,11 +9,10 @@ namespace emigre::ppr {
 
 /// \brief The push schedule: one value, selecting nothing.
 ///
-/// Each push direction has one FIFO schedule. Static pushes run the dense
-/// `ForwardPush`/`ReversePush` loops; `DynamicForwardPush` repairs run
-/// `ForwardPush`'s loop seeded from the repaired row. The enum and
-/// `PprOptions::engine` remain only because the end-to-end benchmark
-/// (e2ebench/e2e_bench.cc) still assigns the field; both go once it stops.
+/// Each push direction has one FIFO schedule: the dense `ForwardPush` and
+/// `ReversePush` loops. The enum and `PprOptions::engine` remain only
+/// because the end-to-end benchmark (e2ebench/e2e_bench.cc) still assigns
+/// the field; both go once it stops.
 enum class PushEngine {
   kKernel,
 };
@@ -43,13 +42,12 @@ struct PprOptions {
   PushEngine engine = PushEngine::kKernel;
 
   /// Cooperative query deadline (non-owning; nullptr = none). The push hot
-  /// loops (static and dynamic repair) and power iteration
-  /// check it periodically — every `kDeadlineCheckInterval` pushes /
-  /// every power iteration — and throw `DeadlineExceededError` once it has
-  /// expired, instead of running a long push to completion first. A
-  /// partially converged state is not a usable estimate, so the loops
-  /// unwind rather than return early; the explain testers catch the error
-  /// and fail the candidate (docs/robustness.md).
+  /// loops and power iteration check it periodically — every
+  /// `kDeadlineCheckInterval` pushes / every power iteration — and throw
+  /// `DeadlineExceededError` once it has expired, instead of running a long
+  /// push to completion first. A partially converged state is not a usable
+  /// estimate, so the loops unwind rather than return early; the explain
+  /// testers catch the error and fail the candidate (docs/robustness.md).
   ///
   /// Set only by `Emigre::Explain` (to its per-query deadline) on the
   /// options copy handed to the TEST path; the deadline object must

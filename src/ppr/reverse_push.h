@@ -40,8 +40,8 @@ PushResult ReversePush(const G& g, graph::NodeId target,
   EMIGRE_FAULT_POINT("ppr.rlp");
   const size_t n = g.NumNodes();
   PushResult out;
-  out.estimate.assign(n, 0.0);  // NOLINT(dense-reset): dense static push
-  out.residual.assign(n, 0.0);  // NOLINT(dense-reset): dense static push
+  out.estimate.assign(n, 0.0);
+  out.residual.assign(n, 0.0);
   if (target >= n) return out;
 
   out.residual[target] = 1.0;

@@ -8,8 +8,8 @@
 
 namespace emigre {
 
-/// \brief Thrown by deadline-cooperative hot loops (the push kernels and
-/// dynamic repair, see `ppr::PprOptions::deadline`) when the query deadline
+/// \brief Thrown by deadline-cooperative hot loops (the pushes and power
+/// iteration, see `ppr::PprOptions::deadline`) when the query deadline
 /// expires mid-computation.
 ///
 /// A partially converged push state is not a usable estimate, so the loops

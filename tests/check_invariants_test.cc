@@ -17,7 +17,6 @@
 #include "graph/overlay.h"
 #include "graph/types.h"
 #include "obs/metrics.h"
-#include "ppr/dynamic.h"
 #include "ppr/forward_push.h"
 #include "ppr/reverse_push.h"
 #include "test_util.h"
@@ -222,33 +221,6 @@ TEST_F(PprInvariantTest, ReversePushStateSatisfiesEq4) {
   }
 }
 
-TEST_F(PprInvariantTest, HoldsAfterDynamicEdgeUpdates) {
-  graph::HinGraph g = rh_.g;
-  NodeId source = rh_.users[0];
-  ppr::DynamicForwardPush<graph::HinGraph> dyn(g, source, ppr_opts_);
-
-  // Remove, then re-add, the user's first action; the repaired state must
-  // satisfy Eq. 3 on the *current* graph after every update ([38]) and be
-  // terminated.
-  ASSERT_GT(g.OutDegree(source), 0u);
-  graph::Edge e = g.OutEdges(source)[0];
-  dyn.BeforeOutEdgeChange(source);
-  g.RemoveEdge(source, e.node, e.type).CheckOK();
-  dyn.AfterOutEdgeChange(source);
-  ppr::PushResult removed{dyn.Estimates(), dyn.Residuals()};
-  EXPECT_TRUE(
-      check::ValidateForwardPushInvariant(g, source, removed, ppr_opts_).ok());
-  EXPECT_TRUE(check::ValidateForwardPushTerminated(g, removed, ppr_opts_).ok());
-
-  dyn.BeforeOutEdgeChange(source);
-  g.AddEdge(source, e.node, e.type, e.weight).CheckOK();
-  dyn.AfterOutEdgeChange(source);
-  ppr::PushResult readded{dyn.Estimates(), dyn.Residuals()};
-  EXPECT_TRUE(
-      check::ValidateForwardPushInvariant(g, source, readded, ppr_opts_).ok());
-  EXPECT_TRUE(check::ValidateForwardPushTerminated(g, readded, ppr_opts_).ok());
-}
-
 TEST_F(PprInvariantTest, DetectsResidualAtThreshold) {
   NodeId s = rh_.users[1];
   NodeId v = rh_.items[2];
@@ -424,9 +396,15 @@ TEST(ValidateExplanationInSpaceTest, DetectsForeignEdge) {
 TEST(SelfCheckTest, PassesOnHealthyGraph) {
   test::BookGraph bg = test::MakeBookGraph();
   check::SelfCheckOptions sc;
+  obs::Counter& terminated =
+      obs::Registry::Global().GetCounter("check.flp_terminated.pass");
+  const uint64_t terminated_before = terminated.Value();
   Result<check::SelfCheckReport> report =
       check::RunSelfCheck(bg.g, test::MakeBookOptions(bg), sc);
   ASSERT_TRUE(report.ok()) << report.status();
+  // Every sampled forward source is checked for termination too (the book
+  // graph has exactly `num_samples` users).
+  EXPECT_EQ(terminated.Value(), terminated_before + sc.num_samples);
   EXPECT_TRUE(report->ok()) << [&] {
     std::string all;
     for (const auto& line : report->lines) all += line + "\n";

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "explain/emigre.h"
-#include "explain/fast_tester.h"
 #include "explain/tester.h"
 #include "ppr/options.h"
 #include "test_util.h"
@@ -227,35 +226,30 @@ void ExpectIdenticalExplanations(const graph::HinGraph& g,
   // Whole Explanations, work counters included, must agree across thread
   // counts.
   const size_t thread_counts[] = {1, 4};
-  for (TesterKind kind : {TesterKind::kExact, TesterKind::kDynamicPush}) {
-    std::vector<std::unique_ptr<Emigre>> engines;
-    for (size_t threads : thread_counts) {
-      EmigreOptions opts = base_opts;
-      opts.tester = kind;
-      opts.test_threads = threads;
-      engines.push_back(std::make_unique<Emigre>(g, opts));
-    }
-    for (const EngineCase& c : cases) {
-      auto a = engines[0]->Explain(WhyNotQuestion{user, wni}, c.mode,
+  std::vector<std::unique_ptr<Emigre>> engines;
+  for (size_t threads : thread_counts) {
+    EmigreOptions opts = base_opts;
+    opts.test_threads = threads;
+    engines.push_back(std::make_unique<Emigre>(g, opts));
+  }
+  for (const EngineCase& c : cases) {
+    auto a = engines[0]->Explain(WhyNotQuestion{user, wni}, c.mode,
+                                 c.heuristic);
+    for (size_t i = 1; i < engines.size(); ++i) {
+      auto b = engines[i]->Explain(WhyNotQuestion{user, wni}, c.mode,
                                    c.heuristic);
-      for (size_t i = 1; i < engines.size(); ++i) {
-        auto b = engines[i]->Explain(WhyNotQuestion{user, wni}, c.mode,
-                                     c.heuristic);
-        ASSERT_EQ(a.ok(), b.ok());
-        if (!a.ok()) continue;
-        SCOPED_TRACE(testing::Message()
-                     << "mode=" << static_cast<int>(c.mode) << " heuristic="
-                     << static_cast<int>(c.heuristic) << " kind="
-                     << static_cast<int>(kind) << " threads="
-                     << thread_counts[i] << " user=" << user
-                     << " wni=" << wni);
-        EXPECT_EQ(a->found, b->found);
-        EXPECT_EQ(a->verified, b->verified);
-        EXPECT_EQ(a->edges, b->edges);
-        EXPECT_EQ(a->new_rec, b->new_rec);
-        EXPECT_EQ(a->failure, b->failure);
-        EXPECT_EQ(a->candidates_considered, b->candidates_considered);
-      }
+      ASSERT_EQ(a.ok(), b.ok());
+      if (!a.ok()) continue;
+      SCOPED_TRACE(testing::Message()
+                   << "mode=" << static_cast<int>(c.mode) << " heuristic="
+                   << static_cast<int>(c.heuristic) << " threads="
+                   << thread_counts[i] << " user=" << user << " wni=" << wni);
+      EXPECT_EQ(a->found, b->found);
+      EXPECT_EQ(a->verified, b->verified);
+      EXPECT_EQ(a->edges, b->edges);
+      EXPECT_EQ(a->new_rec, b->new_rec);
+      EXPECT_EQ(a->failure, b->failure);
+      EXPECT_EQ(a->candidates_considered, b->candidates_considered);
     }
   }
 }

@@ -148,40 +148,49 @@ void RunReplayCase(size_t test_threads, const std::string& tag) {
 
   std::vector<std::string> lines = ReadLines(path);
   ASSERT_EQ(lines.size(), 1u);
-  Result<obs::QueryRecord> parsed = obs::ParseQueryRecord(lines[0]);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  const obs::QueryRecord& record = *parsed;
+  // Logs written while an approximate tester still existed may name it in
+  // budgets.tester; such a record still parses and replays, on the exact
+  // TEST like every other.
+  std::string old_line = lines[0];
+  const std::string exact_field = "\"tester\": \"exact\"";
+  const size_t at = old_line.find(exact_field);
+  ASSERT_NE(at, std::string::npos) << old_line;
+  old_line.replace(at, exact_field.size(), "\"tester\": \"dynamic_push\"");
 
-  Mode mode;
-  ASSERT_TRUE(ModeFromName(record.mode, &mode));
-  Heuristic heuristic;
-  ASSERT_TRUE(HeuristicFromName(record.heuristic, &heuristic));
+  for (const std::string& line : {lines[0], old_line}) {
+    SCOPED_TRACE(line);
+    Result<obs::QueryRecord> parsed = obs::ParseQueryRecord(line);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    const obs::QueryRecord& record = *parsed;
 
-  // Deployment config (graph, action vocabulary) comes from the fixture;
-  // everything the record audits — question, mode, heuristic, budgets —
-  // comes from the record alone.
-  EmigreOptions replay_opts = test::MakeRemoveFriendlyCase().opts;
-  replay_opts.deadline_seconds = record.deadline_seconds;
-  replay_opts.max_tests = record.max_tests;
-  replay_opts.test_threads = record.test_threads;
-  replay_opts.anytime = record.anytime;
-  replay_opts.tester = record.tester == "dynamic_push"
-                           ? TesterKind::kDynamicPush
-                           : TesterKind::kExact;
-  Emigre replay_engine(f.g, replay_opts);
-  Result<Explanation> replay = replay_engine.Explain(
-      WhyNotQuestion{static_cast<graph::NodeId>(record.user),
-                     static_cast<graph::NodeId>(record.why_not_item)},
-      mode, heuristic);
-  ASSERT_TRUE(replay.ok()) << replay.status().ToString();
-  ASSERT_TRUE(replay->found);
-  ASSERT_EQ(replay->edges.size(), record.edges.size());
-  for (size_t i = 0; i < record.edges.size(); ++i) {
-    EXPECT_EQ(replay->edges[i].src, record.edges[i].src);
-    EXPECT_EQ(replay->edges[i].dst, record.edges[i].dst);
-    EXPECT_EQ(replay->edges[i].type, record.edges[i].type);
+    Mode mode;
+    ASSERT_TRUE(ModeFromName(record.mode, &mode));
+    Heuristic heuristic;
+    ASSERT_TRUE(HeuristicFromName(record.heuristic, &heuristic));
+
+    // Deployment config (graph, action vocabulary) comes from the fixture;
+    // everything the record audits — question, mode, heuristic, budgets —
+    // comes from the record alone.
+    EmigreOptions replay_opts = test::MakeRemoveFriendlyCase().opts;
+    replay_opts.deadline_seconds = record.deadline_seconds;
+    replay_opts.max_tests = record.max_tests;
+    replay_opts.test_threads = record.test_threads;
+    replay_opts.anytime = record.anytime;
+    Emigre replay_engine(f.g, replay_opts);
+    Result<Explanation> replay = replay_engine.Explain(
+        WhyNotQuestion{static_cast<graph::NodeId>(record.user),
+                       static_cast<graph::NodeId>(record.why_not_item)},
+        mode, heuristic);
+    ASSERT_TRUE(replay.ok()) << replay.status().ToString();
+    ASSERT_TRUE(replay->found);
+    ASSERT_EQ(replay->edges.size(), record.edges.size());
+    for (size_t i = 0; i < record.edges.size(); ++i) {
+      EXPECT_EQ(replay->edges[i].src, record.edges[i].src);
+      EXPECT_EQ(replay->edges[i].dst, record.edges[i].dst);
+      EXPECT_EQ(replay->edges[i].type, record.edges[i].type);
+    }
+    EXPECT_EQ(replay->new_rec, record.new_rec);
   }
-  EXPECT_EQ(replay->new_rec, record.new_rec);
 }
 
 TEST(QueryLogReplayTest, ReplayFromRecordReproducesEdgeSet) {

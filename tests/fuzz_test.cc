@@ -11,6 +11,7 @@
 #include <map>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "graph/hin_graph.h"
 #include "graph/io.h"
@@ -84,11 +85,26 @@ TEST(GraphFuzzTest, OverlayWithSetWeightMatchesMutatedCopy) {
     test::RandomHin rh = test::MakeRandomHin(rng, 4, 12, 2, 4);
     graph::GraphOverlay overlay(rh.g);
     HinGraph mutated = rh.g;
+    // Half the steps edit one of three base edges, so SetWeight, AddEdge
+    // and RemoveEdge meet on one edge in every order.
+    std::vector<graph::EdgeRef> hot;
+    for (int i = 0; i < 3; ++i) {
+      const NodeId u = rh.users[rng.NextBounded(rh.users.size())];
+      const graph::Edge& e =
+          rh.g.OutEdges(u)[rng.NextBounded(rh.g.OutDegree(u))];
+      hot.push_back(graph::EdgeRef{u, e.node, e.type});
+    }
 
     for (int step = 0; step < 60; ++step) {
       NodeId src = static_cast<NodeId>(rng.NextBounded(rh.g.NumNodes()));
       NodeId dst = static_cast<NodeId>(rng.NextBounded(rh.g.NumNodes()));
       EdgeTypeId type = rng.NextBool() ? rh.rated : rh.belongs_to;
+      if (rng.NextBool()) {
+        const graph::EdgeRef& e = hot[rng.NextBounded(hot.size())];
+        src = e.src;
+        dst = e.dst;
+        type = e.type;
+      }
       double w = rng.NextDouble(0.1, 3.0);
       switch (rng.NextBounded(3)) {
         case 0: {

@@ -225,6 +225,33 @@ TYPED_TEST(OverlayTest, RemoveMissingEdgeFails) {
                   .IsInvalidArgument());
 }
 
+// SetWeight on a base edge masks it and adds a re-weighted copy; adding the
+// edge again must fail like any duplicate, not un-mask a second copy.
+TYPED_TEST(OverlayTest, AddAfterSetWeightOfBaseEdgeFails) {
+  HinGraph g;
+  EdgeTypeId t = g.RegisterEdgeType("e");
+  NodeId a = g.AddNode("n");
+  NodeId b = g.AddNode("n");
+  ASSERT_TRUE(g.AddEdge(a, b, t, 1.0).ok());
+  TypeParam base = TestFixture::MakeBase(g);
+  BasicGraphOverlay<TypeParam> o(base);
+
+  ASSERT_TRUE(o.SetWeight(a, b, t, 5.0).ok());
+  EXPECT_TRUE(o.AddEdge(a, b, t, 2.0).IsAlreadyExists());
+  EXPECT_EQ(OutEdgesOf(o, a), (std::vector<EdgeRef>{{a, b, t}}));
+  EXPECT_EQ(o.OutDegree(a), 1u);
+  EXPECT_DOUBLE_EQ(o.OutWeight(a), 5.0);
+  EXPECT_EQ(o.InDegree(b), 1u);
+
+  // Removing it drops the edge; adding it back restores the base weight.
+  ASSERT_TRUE(o.RemoveEdge(a, b, t).ok());
+  EXPECT_EQ(o.OutDegree(a), 0u);
+  ASSERT_TRUE(o.AddEdge(a, b, t, 2.0).ok());
+  EXPECT_EQ(SnapshotOutEdges(o), SnapshotOutEdges(g));
+  EXPECT_EQ(SnapshotInEdges(o), SnapshotInEdges(g));
+  EXPECT_DOUBLE_EQ(o.OutWeight(a), 1.0);
+}
+
 // Property: a random edit sequence applied to an overlay matches the same
 // sequence applied to a mutable copy of the graph.
 TYPED_TEST(OverlayTest, RandomEditsMatchMutatedCopy) {
@@ -300,7 +327,11 @@ TYPED_TEST(OverlayTest, PowerIterationMatchesMaterializedCopyBitForBit) {
         case 2:  // un-remove: the base edge returns with its base weight
           if (!removed.empty()) {
             EdgeRef e = pick(removed);
-            ASSERT_TRUE(overlay.AddEdge(e.src, e.dst, e.type, 9.0).ok());
+            // A mask under a re-weighted copy hides no edge: adding it
+            // again is a duplicate.
+            const bool present = overlay.HasEdge(e.src, e.dst, e.type);
+            Status st = overlay.AddEdge(e.src, e.dst, e.type, 9.0);
+            ASSERT_TRUE(present ? st.IsAlreadyExists() : st.ok()) << st;
           }
           break;
         case 3:  // remove an added edge (or a re-weighted copy)

@@ -178,7 +178,7 @@ QueryRecord MakeFullRecord() {
   r.deadline_seconds = 1.5;
   r.max_tests = 20000;
   r.test_threads = 4;
-  r.tester = "dynamic_push";
+  r.tester = "exact";
   r.anytime = true;
   r.found = true;
   r.verified = true;
@@ -563,10 +563,10 @@ TEST(PerfGateTest, FloorOutranksSkipGlobs) {
 }
 
 // A ratio of two timings that reads at least counter_min: the shape of
-// bench_ppr_kernels' repair_speedup.
+// bench_graph_io's snapshot_vs_csv_speedup.
 BenchDoc WithSpeedup(double value) {
   BenchDoc doc = MakeBaselineDoc();
-  doc.metrics.gauges.push_back({"bench.kernels.repair_speedup", value});
+  doc.metrics.gauges.push_back({"bench.kernels.load_speedup", value});
   return doc;
 }
 
@@ -585,7 +585,7 @@ TEST(PerfGateTest, SpeedupRiseNeverFails) {
         ComparePerf(WithSpeedup(33.0), WithSpeedup(current), PerfGateOptions{});
     ASSERT_TRUE(report.ok());
     EXPECT_TRUE(report->pass) << report->Format();
-    const PerfGateEntry* e = FindEntry(*report, "bench.kernels.repair_speedup");
+    const PerfGateEntry* e = FindEntry(*report, "bench.kernels.load_speedup");
     ASSERT_NE(e, nullptr);
     EXPECT_EQ(e->verdict, PerfGateEntry::Verdict::kOk) << current;
     EXPECT_DOUBLE_EQ(e->tolerance, PerfGateOptions{}.latency_tol);
@@ -603,7 +603,7 @@ TEST(PerfGateTest, SpeedupFallFailsOnlyPastLatencyTolerance) {
   report = ComparePerf(WithSpeedup(33.0), WithSpeedup(20.0), PerfGateOptions{});
   ASSERT_TRUE(report.ok());
   EXPECT_FALSE(report->pass);
-  const PerfGateEntry* e = FindEntry(*report, "bench.kernels.repair_speedup");
+  const PerfGateEntry* e = FindEntry(*report, "bench.kernels.load_speedup");
   ASSERT_NE(e, nullptr);
   EXPECT_EQ(e->verdict, PerfGateEntry::Verdict::kRegression);
   EXPECT_NE(report->Format().find("REGRESSION"), std::string::npos);
@@ -612,12 +612,12 @@ TEST(PerfGateTest, SpeedupFallFailsOnlyPastLatencyTolerance) {
 TEST(PerfGateTest, SpeedupFloorStillApplies) {
   // Inside the one-sided band, but under the configured absolute minimum.
   PerfGateOptions opts;
-  opts.floors["kernels"]["bench.kernels.repair_speedup"] = 30.0;
+  opts.floors["kernels"]["bench.kernels.load_speedup"] = 30.0;
   Result<PerfGateReport> report =
       ComparePerf(WithSpeedup(33.0), WithSpeedup(29.3), opts);
   ASSERT_TRUE(report.ok());
   EXPECT_FALSE(report->pass);
-  const PerfGateEntry* e = FindEntry(*report, "bench.kernels.repair_speedup");
+  const PerfGateEntry* e = FindEntry(*report, "bench.kernels.load_speedup");
   ASSERT_NE(e, nullptr);
   EXPECT_EQ(e->verdict, PerfGateEntry::Verdict::kBelowMin);
   EXPECT_DOUBLE_EQ(e->floor, 30.0);
@@ -629,15 +629,15 @@ TEST(PerfGateTest, SpeedupFloorStillApplies) {
 
 TEST(PerfGateTest, ConfigParsesFloors) {
   Result<PerfGateOptions> opts = ParsePerfGateConfig(
-      "{\"schema\": \"emigre.perfgate.v1\", \"floors\": {\"ppr_kernels\": "
-      "{\"bench.ppr_kernels.repair_speedup\": 1.0, "
-      "\"bench.ppr_kernels.fast_overall_speedup\": 0.5}}}");
+      "{\"schema\": \"emigre.perfgate.v1\", \"floors\": {\"graph_io\": "
+      "{\"bench.graph_io.snapshot_vs_csv_speedup\": 1.0, "
+      "\"bench.graph_io.fast_overall_speedup\": 0.5}}}");
   ASSERT_TRUE(opts.ok()) << opts.status().ToString();
   ASSERT_EQ(opts->floors.size(), 1u);
-  const auto& kernels = opts->floors.at("ppr_kernels");
+  const auto& kernels = opts->floors.at("graph_io");
   ASSERT_EQ(kernels.size(), 2u);
-  EXPECT_DOUBLE_EQ(kernels.at("bench.ppr_kernels.repair_speedup"), 1.0);
-  EXPECT_DOUBLE_EQ(kernels.at("bench.ppr_kernels.fast_overall_speedup"), 0.5);
+  EXPECT_DOUBLE_EQ(kernels.at("bench.graph_io.snapshot_vs_csv_speedup"), 1.0);
+  EXPECT_DOUBLE_EQ(kernels.at("bench.graph_io.fast_overall_speedup"), 0.5);
   // Malformed floors are config errors, not silent no-ops.
   EXPECT_FALSE(ParsePerfGateConfig(
                    "{\"schema\": \"emigre.perfgate.v1\", \"floors\": [1]}")

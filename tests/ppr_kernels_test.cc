@@ -2,15 +2,12 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <string>
 #include <vector>
 
-#include "check/invariants.h"
 #include "graph/csr.h"
 #include "graph/csr_snapshot.h"
 #include "graph/overlay.h"
-#include "ppr/dynamic.h"
 #include "ppr/forward_push.h"
 #include "ppr/power_iteration.h"
 #include "ppr/reverse_push.h"
@@ -23,7 +20,6 @@ namespace {
 using graph::BasicGraphOverlay;
 using graph::CsrGraph;
 using graph::CsrSnapshotView;
-using graph::EdgeTypeId;
 using graph::GraphOverlay;
 using graph::HinGraph;
 using graph::NodeId;
@@ -130,90 +126,6 @@ TEST(PushBackingParityTest, DenseLoopsBitwiseEqualAcrossBackings) {
 }
 
 // ---------------------------------------------------------------------------
-// Dynamic repairs
-
-/// A user of `g` with at least one out-edge, and that out-row.
-NodeId UserWithRow(const test::RandomHin& rh, const CsrGraph& g,
-                   std::vector<graph::Edge>* row) {
-  for (NodeId u : rh.users) {
-    if (g.OutDegree(u) == 0) continue;
-    g.ForEachOutEdge(u, [&](NodeId dst, EdgeTypeId t, double w) {
-      row->push_back(graph::Edge{dst, t, w});
-    });
-    return u;
-  }
-  return graph::kInvalidNode;
-}
-
-/// Σ|r|: the signed residuals of a repaired state bound its estimates'
-/// distance from the true PPR vector by their absolute mass.
-double AbsMass(const PushResult& state) {
-  double total = 0.0;
-  for (double r : state.residual) total += std::abs(r);
-  return total;
-}
-
-TEST(KernelDynamicTest, RepairsTerminateAndMatchFromScratchPush) {
-  // The seeded refine must leave the state the math requires: Eq. 3 on the
-  // edited graph, no residual above threshold, and estimates within the
-  // two states' residual masses of a push recomputed from scratch.
-  test::BookGraph bg = test::MakeBookGraph();
-  PprOptions opts;
-  HinGraph g = bg.g;
-  DynamicForwardPush<HinGraph> dyn(g, bg.paul, opts);
-
-  auto edit = [&](auto&& fn) {
-    dyn.BeforeOutEdgeChange(bg.paul);
-    fn();
-    dyn.AfterOutEdgeChange(bg.paul);
-    Status eq3 =
-        check::ValidateForwardPushInvariant(g, bg.paul, dyn.State(), opts);
-    EXPECT_TRUE(eq3.ok()) << eq3;
-    Status done = check::ValidateForwardPushTerminated(g, dyn.State(), opts);
-    EXPECT_TRUE(done.ok()) << done;
-    PushResult fresh = ForwardPush(g, bg.paul, opts);
-    const double bound = AbsMass(dyn.State()) + AbsMass(fresh) + 1e-12;
-    for (NodeId v = 0; v < g.NumNodes(); ++v) {
-      EXPECT_NEAR(dyn.Estimate(v), fresh.estimate[v], bound) << "node " << v;
-    }
-  };
-
-  edit([&] { ASSERT_TRUE(g.RemoveEdge(bg.paul, bg.candide, bg.rated).ok()); });
-  edit([&] { ASSERT_TRUE(g.AddEdge(bg.paul, bg.lotr, bg.rated, 1.0).ok()); });
-  edit([&] {
-    ASSERT_TRUE(g.AddEdge(bg.paul, bg.candide, bg.rated, 1.0).ok());
-  });
-}
-
-TEST(KernelDynamicTest, OverlayEditCycleKeepsInvariantAndConverges) {
-  test::BookGraph bg = test::MakeBookGraph();
-  CsrGraph csr(bg.g);
-  BasicGraphOverlay<CsrGraph> o(csr);
-  PprOptions opts;
-  DynamicForwardPush<BasicGraphOverlay<CsrGraph>> dyn(o, bg.paul, opts);
-  std::vector<double> initial = dyn.Estimates();
-
-  for (int round = 0; round < 3; ++round) {
-    dyn.BeforeOutEdgeChange(bg.paul);
-    ASSERT_TRUE(o.RemoveEdge(bg.paul, bg.candide, bg.rated).ok());
-    dyn.AfterOutEdgeChange(bg.paul);
-    EXPECT_TRUE(
-        check::ValidateForwardPushInvariant(o, bg.paul, dyn.State(), opts)
-            .ok());
-    dyn.BeforeOutEdgeChange(bg.paul);
-    o.Clear();
-    dyn.AfterOutEdgeChange(bg.paul);
-    EXPECT_TRUE(
-        check::ValidateForwardPushInvariant(o, bg.paul, dyn.State(), opts)
-            .ok());
-  }
-  // After edit+revert cycles the estimates drift only within push tolerance.
-  for (NodeId v = 0; v < csr.NumNodes(); ++v) {
-    EXPECT_NEAR(dyn.Estimates()[v], initial[v], 1e-4);
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Cooperative deadlines (docs/robustness.md)
 
 TEST(KernelDeadlineTest, ExpiredDeadlineUnwindsEveryEngine) {
@@ -227,26 +139,6 @@ TEST(KernelDeadlineTest, ExpiredDeadlineUnwindsEveryEngine) {
   EXPECT_THROW(ReversePush(rh.g, rh.items[0], opts), DeadlineExceededError);
   EXPECT_THROW(PowerIterationPpr(rh.g, rh.users[0], opts),
                DeadlineExceededError);
-}
-
-TEST(KernelDeadlineTest, ExpiredDeadlineUnwindsRepair) {
-  Rng rng(29);
-  test::RandomHin rh = test::MakeRandomHin(rng, 10, 30, 3, 6);
-  CsrGraph csr(rh.g);
-  std::vector<graph::Edge> row;
-  NodeId user = UserWithRow(rh, csr, &row);
-  ASSERT_NE(user, graph::kInvalidNode);
-  BasicGraphOverlay<CsrGraph> o(csr);
-  Deadline deadline;  // unlimited while the initial push runs
-  PprOptions opts;
-  opts.deadline = &deadline;
-
-  DynamicForwardPush<BasicGraphOverlay<CsrGraph>> dyn(o, user, opts);
-  deadline = Deadline(1e-12);  // expires before the repair's first push
-  deadline.Start();
-  dyn.BeforeOutEdgeChange(user);
-  ASSERT_TRUE(o.RemoveEdge(user, row[0].node, row[0].type).ok());
-  EXPECT_THROW(dyn.AfterOutEdgeChange(user), DeadlineExceededError);
 }
 
 TEST(KernelDeadlineTest, UnexpiredAndAbsentDeadlinesChangeNothing) {
@@ -267,23 +159,6 @@ TEST(KernelDeadlineTest, UnexpiredAndAbsentDeadlinesChangeNothing) {
   PushResult guarded_rev = ReversePush(g, rh.items[1], guarded);
   EXPECT_EQ(guarded_rev.estimate, base_rev.estimate);
   EXPECT_EQ(guarded_rev.residual, base_rev.residual);
-
-  // A repair polls the deadline in its refine loop.
-  std::vector<graph::Edge> row;
-  NodeId user = UserWithRow(rh, g, &row);
-  ASSERT_NE(user, graph::kInvalidNode);
-  auto repair = [&](const PprOptions& opts) {
-    BasicGraphOverlay<CsrGraph> o(g);
-    DynamicForwardPush<BasicGraphOverlay<CsrGraph>> dyn(o, user, opts);
-    dyn.BeforeOutEdgeChange(user);
-    EXPECT_TRUE(o.RemoveEdge(user, row[0].node, row[0].type).ok());
-    dyn.AfterOutEdgeChange(user);
-    return dyn.State();
-  };
-  PushResult base_repair = repair(plain);
-  PushResult guarded_repair = repair(guarded);
-  EXPECT_EQ(guarded_repair.estimate, base_repair.estimate);
-  EXPECT_EQ(guarded_repair.residual, base_repair.residual);
 }
 
 }  // namespace

@@ -766,8 +766,8 @@ int RunExperiment(const std::vector<std::string>& args) {
   AddObsFlags(&parser);
   Status st = parser.Parse(args);
   if (!st.ok()) return Fail(st);
-  // The evaluation harness mutates per-method scratch graphs, so a
-  // snapshot input is materialized once up front.
+  // The runner drives one immutable engine, but `RunExperiment` takes a
+  // `HinGraph`, so a snapshot input is materialized once up front.
   Result<graph::HinGraph> gres =
       LoadHinGraphAny(parser.GetString("graph").ValueOrDie());
   if (!gres.ok()) return Fail(gres.status());

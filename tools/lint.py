@@ -16,11 +16,6 @@ Rules (each can be suppressed per line with a trailing `NOLINT` or
   bench-metrics    every bench/bench_<name>.cc records its run with
                    WriteBenchMetrics("<name>") so BENCH_<name>.json
                    lands in the perf trajectory.
-  dense-reset      no `.assign(...)` / `.resize(...)` dense clears in
-                   src/ppr/ — a dynamic repair reuses state its instance
-                   allocated once, so a repair touching k nodes costs
-                   O(k), not O(n). The dense static pushes carry
-                   NOLINT(dense-reset).
   fault-site       every EMIGRE_FAULT_POINT / EMIGRE_FAULT_POINT_STATUS
                    site name is unique across the repo, so a fault spec
                    or a fault.<site>.fired counter names exactly one
@@ -73,17 +68,12 @@ RULES = (
     "nodiscard",
     "naked-new",
     "bench-metrics",
-    "dense-reset",
     "fault-site",
     "obs-name",
     "metric-catalog",
     "ondisk-assert",
     "guarded-by",
 )
-
-# dense-reset guards the PPR hot paths only: everywhere else a dense
-# assign/resize is normal C++.
-DENSE_RESET_DIRS = ("src/ppr",)
 
 # Directories scanned when no explicit paths are given, relative to root.
 DEFAULT_DIRS = ("src", "tools", "bench", "tests", "examples")
@@ -274,20 +264,6 @@ def check_naked_new(relpath, stripped_lines, raw_lines, violations):
                 relpath, idx + 1, "naked-new",
                 "no naked `new`; use std::make_unique or mark the leaky "
                 "singleton with NOLINT(naked-new)"))
-
-
-DENSE_RESET_RE = re.compile(r"\.\s*(?:assign|resize)\s*\(")
-
-
-def check_dense_reset(relpath, stripped_lines, raw_lines, violations):
-    for idx, line in enumerate(stripped_lines):
-        if DENSE_RESET_RE.search(line) and not is_suppressed(
-                raw_lines[idx], "dense-reset"):
-            violations.append(Violation(
-                relpath, idx + 1, "dense-reset",
-                "O(n) dense clear/growth in a PPR hot path; reuse state "
-                "allocated once per instance, or mark a dense static push "
-                "with NOLINT(dense-reset)"))
 
 
 # Matches a fault-point invocation with a literal site name. The macro
@@ -660,9 +636,6 @@ def lint_file(root, relpath, seen_fault_sites=None, seen_obs_names=None):
         check_naked_new(relpath, stripped, raw_lines, violations)
     if relpath.endswith(".cc"):
         check_bench_metrics(relpath, text, violations)
-    if relpath.endswith((".h", ".cc")) and any(
-            relpath.startswith(d + "/") for d in DENSE_RESET_DIRS):
-        check_dense_reset(relpath, stripped, raw_lines, violations)
     if relpath.startswith("src/") and relpath.endswith((".h", ".cc")):
         check_ondisk_assert(relpath, stripped, raw_lines, violations)
     if relpath.endswith((".h", ".cc")):
@@ -742,10 +715,6 @@ SEEDED = {
     "bench-metrics": (
         "bench/bench_silent.cc",
         "int main() { return 0; }\n"),
-    "dense-reset": (
-        "src/ppr/dense_clear.cc",
-        "void Reset(std::vector<double>& v, size_t n) {"
-        " v.assign(n, 0.0); }\n"),
     "fault-site": (
         "src/util/dup_site.cc",
         'void A() { EMIGRE_FAULT_POINT("dup.site"); }\n'
